@@ -3,9 +3,10 @@
 //   lwt_perfbench --workload fork_join|task_tree|rpc_kv --seed N
 //                 --seconds S --trace 0|1 [--out-dir DIR] [--commit ID]
 //
-// --trace 0: boot the named workload seven times (the median boot is
-// setup_s), then run it closed-loop for S seconds with no spans and report
-// the end-to-end metrics. --trace 1: a separate traced run reporting the
+// --trace 0: take set-up samples of the named workload, each a boot plus
+// warm-up in a fresh child process (their median is setup_s), then boot it
+// here and run it closed-loop for S seconds with no spans and report the
+// end-to-end metrics. --trace 1: a separate traced run reporting the
 // per-layer metrics; see README.md for how it splits S.
 //
 // The last line of standard output is the result object; the line before
@@ -59,7 +60,7 @@ constexpr bool kOptimized = true;
 constexpr bool kOptimized = false;
 #endif
 
-constexpr int kSetupBoots = 7;
+constexpr int kSetupBoots = 15;
 
 /// Windows are cut into chunks of about one second, at least ten.
 int chunks_for(double seconds) {
@@ -122,7 +123,7 @@ std::string json_array(const std::vector<double>& v) {
 /// per-chunk series go to `chunks` (a JSON object) for the results file.
 std::vector<Metric> end_to_end(const Report& rep, std::uint64_t* samples, double* tail_q,
                                std::string* chunks) {
-    std::vector<double> tput, p50, p99, cpu;
+    std::vector<double> tput, p50, p99, cpu, steal;
     *samples = 0;
     *tail_q = 0.99;
     for (const Chunk& c : rep.untraced) {
@@ -135,12 +136,15 @@ std::vector<Metric> end_to_end(const Report& rep, std::uint64_t* samples, double
         cpu.push_back(c.cpu_s * 1e6 / static_cast<double>(c.ops));
         p50.push_back(c.p50_ns * 1e-3);
         p99.push_back(c.tail_ns * 1e-3);
+        steal.push_back(c.host_steal * 100);
     }
     *chunks = "{\"throughput_per_s\": " + json_array(tput) +
               ", \"latency_p50_us\": " + json_array(p50) +
               ", \"latency_p99_us\": " + json_array(p99) +
               ", \"cpu_us_per_op\": " + json_array(cpu) +
-              ", \"setup_s\": " + json_array(rep.setup_s) + "}";
+              ", \"host_steal_pct\": " + json_array(steal) +
+              ", \"setup_s\": " + json_array(rep.setup_s) +
+              ", \"setup_warm_batches\": " + json_array(rep.setup_batches) + "}";
     rusage ru{};
     getrusage(RUSAGE_SELF, &ru);
     return {
@@ -249,6 +253,7 @@ int main(int argc, char** argv) {
         }
     }
     const bool correct = rep.failed == 0 && rep.attempted > 0;
+    const double steal_pct = rep.host_steal * 100;
 
     std::uint64_t samples = 0;
     double tail_q = 0;
@@ -281,11 +286,15 @@ int main(int argc, char** argv) {
                              ", \"bind\": " + perfbench::json_string(rep.bind) +
                              ", \"build_type\": " + perfbench::json_string(PERFBENCH_BUILD_TYPE) +
                              ", \"commit\": " + perfbench::json_string(commit) +
-                             ", \"error_ratio\": " + perfbench::format_number(error_ratio);
+                             ", \"error_ratio\": " + perfbench::format_number(error_ratio) +
+                             ", \"host_steal_pct\": " +
+                             (steal_pct >= 0 ? perfbench::format_number(steal_pct) : "null");
     if (trace == 0) {
         conditions += ", \"latency_samples\": " + std::to_string(samples) +
                       ", \"tail_percentile\": " + perfbench::format_number(tail_q * 100) +
-                      ", \"setup_boots\": " + std::to_string(rep.setup_s.size());
+                      ", \"setup_boots\": " + std::to_string(rep.setup_s.size()) +
+                      ", \"setup_warm_batches\": " +
+                      perfbench::format_number(perfbench::median(rep.setup_batches));
     }
     conditions += "}}";
     const std::string line = perfbench::format_result(result);

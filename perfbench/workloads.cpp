@@ -10,6 +10,7 @@
 #include <sys/epoll.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <time.h>
 #include <unistd.h>
 
@@ -21,6 +22,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <utility>
 
 #include "abt/abt.hpp"
 #include "core/metrics.hpp"
@@ -112,6 +114,111 @@ struct Counters {
     }
 };
 
+/// Host CPU ticks from the first line of /proc/stat: {steal, all}. Both 0
+/// when it cannot be read.
+std::pair<std::uint64_t, std::uint64_t> host_cpu_ticks() {
+    std::ifstream f("/proc/stat");
+    std::string cpu;
+    f >> cpu;
+    // user nice system idle iowait irq softirq steal
+    std::array<std::uint64_t, 8> t{};
+    for (std::uint64_t& x : t) {
+        f >> x;
+    }
+    if (!f || cpu != "cpu") {
+        return {0, 0};
+    }
+    std::uint64_t all = 0;
+    for (const std::uint64_t x : t) {
+        all += x;
+    }
+    return {t[7], all};
+}
+
+/// Share of the host's CPU time stolen between two host_cpu_ticks()
+/// readings; -1 when either could not be read.
+double steal_share(const std::pair<std::uint64_t, std::uint64_t>& from,
+                   const std::pair<std::uint64_t, std::uint64_t>& to) {
+    if (from.second == 0 || to.second <= from.second) {
+        return -1;
+    }
+    return static_cast<double>(to.first - from.first) /
+           static_cast<double>(to.second - from.second);
+}
+
+/// Memory the caches have taken from the system so far: unit-cache blocks
+/// carved from fresh slabs (misses) and stacks mapped.
+std::pair<std::uint64_t, std::int64_t> fill_level() {
+    lwt::core::publish_alloc_metrics();
+    auto& reg = lwt::core::MetricsRegistry::instance();
+    return {reg.counter("alloc.unit_cache.misses").value(),
+            reg.gauge("alloc.stack.maps").value()};
+}
+
+constexpr int kMaxWarmBatches = 256;
+
+/// Warm-up: run `batch` (a fixed number of ops, none left in flight) until
+/// one batch takes no new memory — it carves no unit-cache block and maps
+/// no stack — so the caches hold the workload's live set. Returns the
+/// batches run, at most kMaxWarmBatches.
+int warm_until_steady(const std::function<void()>& batch) {
+    auto level = fill_level();
+    for (int b = 1;; ++b) {
+        batch();
+        const auto next = fill_level();
+        if (next == level || b == kMaxWarmBatches) {
+            return b;
+        }
+        level = next;
+    }
+}
+
+/// Takes one set-up sample in a forked child process: `boot` constructs the
+/// runtime and warms it up, and returns the warm-up batches, or a negative
+/// number (or counts a failed op in `rep`) when an op went wrong. A fresh
+/// process starts with empty stack pools and unit caches, so every sample
+/// pays the whole fill, as a program's first boot does. The sample is one
+/// attempted op of `rep`. Call only while this process runs no other thread.
+void sample_setup(Report& rep, const std::function<int()>& boot) {
+    struct Sample {
+        double seconds = 0;
+        int batches = 0;
+        bool ok = false;
+    };
+    ++rep.attempted;
+    int fds[2] = {-1, -1};
+    if (pipe(fds) != 0) {
+        ++rep.failed;
+        return;
+    }
+    const pid_t pid = fork();
+    if (pid == 0) {
+        ::close(fds[0]);
+        const std::uint64_t failed = rep.failed;
+        const std::uint64_t t0 = now_ns();
+        Sample s;
+        s.batches = boot();
+        s.seconds = static_cast<double>(now_ns() - t0) * 1e-9;
+        s.ok = s.batches > 0 && rep.failed == failed;
+        // The runtime is left running: _exit ends its threads with the
+        // process, and its teardown is not set-up.
+        _exit(::write(fds[1], &s, sizeof s) == sizeof s ? 0 : 1);
+    }
+    ::close(fds[1]);
+    Sample s;
+    const bool got = pid > 0 && ::read(fds[0], &s, sizeof s) == sizeof s;
+    ::close(fds[0]);
+    int status = 1;
+    while (pid > 0 && waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+    }
+    if (!got || !s.ok || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+        ++rep.failed;
+        return;
+    }
+    rep.setup_s.push_back(s.seconds);
+    rep.setup_batches.push_back(s.batches);
+}
+
 double ratio(std::uint64_t num, std::uint64_t den) {
     return den == 0 ? 0.0 : static_cast<double>(num) / static_cast<double>(den);
 }
@@ -132,7 +239,9 @@ Window::Window(double seconds, int chunks)
       chunk_start_(now_ns()),
       chunk_end_(chunk_start_ + chunk_ns_),
       cpu_start_(cpu_seconds()),
-      chunks_(static_cast<std::size_t>(n_)) {}
+      chunks_(static_cast<std::size_t>(n_)) {
+    host_start_ = host_chunk_ = host_cpu_ticks();
+}
 
 void Window::roll(std::uint64_t at) {
     const double cpu = cpu_seconds();
@@ -143,7 +252,13 @@ void Window::roll(std::uint64_t at) {
     c.p50_ns = quantile_of(lat_, 0.5);
     c.tail_ns = quantile_of(lat_, c.tail_q);
     lat_.clear();
-    ++closed_;
+    const auto host = host_cpu_ticks();
+    c.host_steal = steal_share(host_chunk_, host);
+    host_chunk_ = host;
+    if (++closed_ == n_) {
+        steal_ = steal_share(host_start_, host);
+        return;
+    }
     // The next chunk starts after the summary, which is not its work.
     chunk_start_ = now_ns();
     chunk_end_ = chunk_start_ + chunk_ns_;
@@ -220,7 +335,7 @@ constexpr std::size_t kFjMaxPerStream = 4;
 constexpr std::size_t kFjMaxUnits = kFjStreams * kFjMaxPerStream;
 constexpr std::size_t kFjChunk = 256;  // floats per ULT: one Sscal chunk
 constexpr std::size_t kFjInputs = 4096;
-constexpr int kFjWarmRegions = 5000;
+constexpr int kFjWarmBatch = 16;  // regions per warm-up batch
 constexpr std::array<float, 4> kFjScales = {0.5f, 1.5f, 2.0f, 3.0f};
 
 struct RegionInput {
@@ -369,15 +484,18 @@ Report run_fork_join(const Plan& plan, SpanLog& spans) {
             w->record(*lat, now_ns());
         }
     };
-    for (int b = 0; b < std::max(1, plan.boots); ++b) {
-        lib.reset();
-        const std::uint64_t t0 = now_ns();
+    const auto boot = [&] {
         lib = std::make_unique<lwt::abt::Library>(cfg);
-        for (int i = 0; i < kFjWarmRegions; ++i) {
-            op(nullptr, nullptr);
-        }
-        rep.setup_s.push_back(static_cast<double>(now_ns() - t0) * 1e-9);
+        return warm_until_steady([&] {
+            for (int i = 0; i < kFjWarmBatch; ++i) {
+                op(nullptr, nullptr);
+            }
+        });
+    };
+    for (int b = 0; b < plan.boots; ++b) {
+        sample_setup(rep, boot);
     }
+    boot();
     if (plan.untraced_s > 0) {
         Window w(plan.untraced_s, plan.chunks);
         while (!w.done()) {
@@ -385,6 +503,7 @@ Report run_fork_join(const Plan& plan, SpanLog& spans) {
         }
         rep.untraced = w.chunks();
         rep.untraced_ns_per_op = w.ns_per_op();
+        rep.host_steal = w.host_steal();
     }
     if (plan.traced_s > 0) {
         auto pr = std::make_unique<FjProbes>();
@@ -421,7 +540,7 @@ namespace {
 constexpr int kTtCutoff = 10;
 constexpr int kTtN = 23;  // every tree has this height; the seed draws the shapes
 constexpr std::size_t kTtTrees = 64;
-constexpr int kTtWarmTrees = 300;
+constexpr int kTtWarmBatch = 16;  // trees per warm-up batch
 
 /// The tree recurrence: node (n, key) sums its children (n-1) and
 /// (n-2-skew), where the key decides the skew, so trees are unbalanced in
@@ -541,49 +660,55 @@ Report run_task_tree(const Plan& plan, SpanLog& spans) {
         return t.spawns;
     };
 
-    for (int b = 0; b < std::max(1, plan.boots); ++b) {
-        const bool last = b + 1 >= std::max(1, plan.boots);
-        const std::uint64_t t0 = now_ns();
-        lwt::mth::Library lib(cfg);
-        lib.run([&] {
-            for (int i = 0; i < kTtWarmTrees; ++i) {
-                op(lib, nullptr, nullptr);
-            }
-            rep.setup_s.push_back(static_cast<double>(now_ns() - t0) * 1e-9);
-            if (!last) {
-                return;
-            }
-            if (plan.untraced_s > 0) {
-                Window w(plan.untraced_s, plan.chunks);
-                while (!w.done()) {
-                    op(lib, &w, nullptr);
+    std::unique_ptr<lwt::mth::Library> lib;
+    const auto boot = [&] {
+        lib = std::make_unique<lwt::mth::Library>(cfg);
+        int batches = 0;
+        lib->run([&] {
+            batches = warm_until_steady([&] {
+                for (int i = 0; i < kTtWarmBatch; ++i) {
+                    op(*lib, nullptr, nullptr);
                 }
-                rep.untraced = w.chunks();
-                rep.untraced_ns_per_op = w.ns_per_op();
-            }
-            if (plan.traced_s > 0) {
-                auto pr = std::make_unique<TtProbes>();
-                const Counters before = Counters::read(lib.sched_stats());
-                Window w(plan.traced_s, plan.chunks);
-                std::uint64_t tasks = 0;
-                while (!w.done()) {
-                    tasks += op(lib, &w, pr.get());
-                }
-                const Counters after = Counters::read(lib.sched_stats());
-                        rep.traced_ns_per_op = w.ns_per_op();
-                const std::uint64_t attempts =
-                    after.sched.steal_attempts - before.sched.steal_attempts;
-                rep.layers.push_back(
-                    {"core.steal_hit_ratio",
-                     ratio(after.sched.steal_hits - before.sched.steal_hits, attempts),
-                     "ratio"});
-                rep.layers.push_back(
-                    {"core.steal_attempts_per_task", ratio(attempts, tasks), "count/task"});
-                add_p50_p99(rep, "mth.join_ns", pr->join, 1.0, "ns");
-                rep.layers.push_back({"mth.leaf_ns_p50", pr->leaf.hist.quantile(0.5), "ns"});
-            }
+            });
         });
+        return batches;
+    };
+    for (int b = 0; b < plan.boots; ++b) {
+        sample_setup(rep, boot);
     }
+    boot();
+    lib->run([&] {
+        if (plan.untraced_s > 0) {
+            Window w(plan.untraced_s, plan.chunks);
+            while (!w.done()) {
+                op(*lib, &w, nullptr);
+            }
+            rep.untraced = w.chunks();
+            rep.untraced_ns_per_op = w.ns_per_op();
+            rep.host_steal = w.host_steal();
+        }
+        if (plan.traced_s > 0) {
+            auto pr = std::make_unique<TtProbes>();
+            const Counters before = Counters::read(lib->sched_stats());
+            Window w(plan.traced_s, plan.chunks);
+            std::uint64_t tasks = 0;
+            while (!w.done()) {
+                tasks += op(*lib, &w, pr.get());
+            }
+            const Counters after = Counters::read(lib->sched_stats());
+            rep.traced_ns_per_op = w.ns_per_op();
+            const std::uint64_t attempts =
+                after.sched.steal_attempts - before.sched.steal_attempts;
+            rep.layers.push_back(
+                {"core.steal_hit_ratio",
+                 ratio(after.sched.steal_hits - before.sched.steal_hits, attempts), "ratio"});
+            rep.layers.push_back(
+                {"core.steal_attempts_per_task", ratio(attempts, tasks), "count/task"});
+            add_p50_p99(rep, "mth.join_ns", pr->join, 1.0, "ns");
+            rep.layers.push_back({"mth.leaf_ns_p50", pr->leaf.hist.quantile(0.5), "ns"});
+        }
+    });
+    lib.reset();
     return rep;
 }
 
@@ -597,7 +722,7 @@ constexpr std::size_t kKvKeys = kKvConns * kKvKeysPerConn;
 constexpr std::size_t kKvValue = 1024;      // put payload and stored value
 constexpr std::size_t kKvGetReply = 64;     // version + value prefix
 constexpr std::size_t kKvBank = 64 * 1024;  // put payloads are slices of it
-constexpr int kKvWarmRequests = 20000;
+constexpr int kKvWarmBatch = 256;           // requests per warm-up batch
 constexpr int kKvStallMs = 10000;           // no reply this long: fail the run
 constexpr std::uint32_t kGet = 0;
 constexpr std::uint32_t kPut = 1;
@@ -696,6 +821,12 @@ class KvServer {
         return c;
     }
 
+    /// Span id of a request: every connection numbers its own requests
+    /// from 1, and owns the keys congruent to its index mod kKvConns.
+    static std::uint64_t op_id(const Header& h) {
+        return std::uint64_t{h.seq} * kKvConns + h.key % kKvConns;
+    }
+
     void acceptor() {
         std::size_t c = 0;
         for (; c < kKvConns; ++c) {
@@ -748,7 +879,7 @@ class KvServer {
             const std::uint64_t t_sent = now_ns();
             probes_->chan_send.rec_span(t_read, t_sent);
             if (SpanLog::sampled(h.seq)) {
-                spans_->add("core.chan_send", "gol.service", h.seq, t_read, t_sent);
+                spans_->add("core.chan_send", "gol.service", op_id(h), t_read, t_sent);
             }
         }
         readers_.done();
@@ -799,10 +930,11 @@ class KvServer {
             pr->service_self.rec(self_time_ns(
                 {t_read, t_w1}, {{t_read, t_recv}, {t_l0, t_l1}, {t_w0, t_w1}}));
             if (SpanLog::sampled(h.seq)) {
-                spans_->add("gol.service", nullptr, h.seq, t_read, t_w1);
-                spans_->add("core.chan_handover", "gol.service", h.seq, t_read, t_recv);
-                spans_->add("core.mutex_wait", "gol.service", h.seq, t_l0, t_l1);
-                spans_->add("io.write", "gol.service", h.seq, t_w0, t_w1);
+                const std::uint64_t id = op_id(h);
+                spans_->add("gol.service", nullptr, id, t_read, t_w1);
+                spans_->add("core.chan_handover", "gol.service", id, t_read, t_recv);
+                spans_->add("core.mutex_wait", "gol.service", id, t_l0, t_l1);
+                spans_->add("io.write", "gol.service", id, t_w0, t_w1);
             }
         }
         workers_.done();
@@ -1036,60 +1168,69 @@ Report run_rpc_kv(const Plan& plan, SpanLog& spans) {
     for (std::uint8_t& b : bank) {
         b = static_cast<std::uint8_t>(splitmix(s));
     }
+    const std::uint64_t client_seed = splitmix(s);
 
     // Outlives every server: late recordings land here (see KvServer).
     auto pr = std::make_unique<KvProbes>();
-    Counters before, after;
-    std::uint64_t traced_reqs = 0;
-    const int boots = std::max(1, plan.boots);
-    for (int b = 0; b < boots; ++b) {
-        const bool last = b + 1 == boots;
-        const std::uint64_t t0 = now_ns();
-        KvServer server(streams, init, *pr, spans);
-        KvClient client(splitmix(s), init, bank);
-        const auto port = server.start();
-        bool ok = port && client.connect(*port);
+    std::unique_ptr<KvServer> server;
+    std::unique_ptr<KvClient> client;
+    // Server up, client connected, warm-up; the batches, or -1 on a failure.
+    const auto boot = [&] {
+        server = std::make_unique<KvServer>(streams, init, *pr, spans);
+        client = std::make_unique<KvClient>(client_seed, init, bank);
+        const auto port = server->start();
+        bool ok = port && client->connect(*port);
         if (port) {
             if (!ok) {
-                client.close();
-                server.close_listener();
+                client->close();
+                server->close_listener();
             }
-            server.wait_accepted();
+            server->wait_accepted();
         }
-        int warm = 0;
-        ok = ok && client.run([&] { return warm++ < kKvWarmRequests; }, nullptr);
-        rep.setup_s.push_back(static_cast<double>(now_ns() - t0) * 1e-9);
-
-        if (ok && last && plan.untraced_s > 0) {
-            Window w(plan.untraced_s, plan.chunks);
-            ok = client.run([&] { return !w.done(); }, &w);
-            rep.untraced = w.chunks();
-            rep.untraced_ns_per_op = w.ns_per_op();
-        }
-        if (ok && last && plan.traced_s > 0) {
-            // Quiescent on both sides: every request answered.
-            before = Counters::read(server.sched_stats());
-            const std::uint64_t req0 = client.attempted();
-            server.set_traced(true);
-            Window w(plan.traced_s, plan.chunks);
-            ok = client.run([&] { return !w.done(); }, &w);
-            server.set_traced(false);
-            after = Counters::read(server.sched_stats());
-            traced_reqs = client.attempted() - req0;
-                rep.traced_ns_per_op = w.ns_per_op();
-        }
-        client.close();
-        server.stop();
-        rep.attempted += client.attempted();
-        rep.failed += client.failed() + server.errors();
-        // End-of-run check: the server's table equals the client's shadow.
-        ++rep.attempted;
-        if (!ok || server.table().checksum() != client.shadow().checksum()) {
-            ++rep.failed;
-        }
-        if (!ok) {
-            return rep;
-        }
+        const int batches = warm_until_steady([&] {
+            int n = 0;
+            ok = ok && client->run([&] { return n++ < kKvWarmBatch; }, nullptr);
+        });
+        return ok && client->failed() == 0 && server->errors() == 0 ? batches : -1;
+    };
+    for (int b = 0; b < plan.boots; ++b) {
+        sample_setup(rep, boot);
+    }
+    bool ok = boot() > 0;
+    Counters before, after;
+    std::uint64_t traced_reqs = 0;
+    if (ok && plan.untraced_s > 0) {
+        Window w(plan.untraced_s, plan.chunks);
+        ok = client->run([&] { return !w.done(); }, &w);
+        rep.untraced = w.chunks();
+        rep.untraced_ns_per_op = w.ns_per_op();
+        rep.host_steal = w.host_steal();
+    }
+    if (ok && plan.traced_s > 0) {
+        // Quiescent on both sides: every request answered.
+        before = Counters::read(server->sched_stats());
+        const std::uint64_t req0 = client->attempted();
+        server->set_traced(true);
+        Window w(plan.traced_s, plan.chunks);
+        ok = client->run([&] { return !w.done(); }, &w);
+        server->set_traced(false);
+        after = Counters::read(server->sched_stats());
+        traced_reqs = client->attempted() - req0;
+        rep.traced_ns_per_op = w.ns_per_op();
+    }
+    client->close();
+    server->stop();
+    rep.attempted += client->attempted();
+    rep.failed += client->failed() + server->errors();
+    // End-of-run check: the server's table equals the client's shadow.
+    ++rep.attempted;
+    if (!ok || server->table().checksum() != client->shadow().checksum()) {
+        ++rep.failed;
+    }
+    client.reset();
+    server.reset();
+    if (!ok) {
+        return rep;
     }
     if (plan.traced_s > 0) {
         add_p50_p99(rep, "gol.service_us", pr->service, 1e-3, "us");
