@@ -3,8 +3,6 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <thread>
 
 #include "arch/cpu.hpp"
@@ -18,9 +16,6 @@
 namespace lwt::core {
 namespace {
 
-std::atomic<JoinMode> g_join_mode{JoinMode::kHandoff};
-std::atomic<bool> g_join_mode_set{false};
-
 /// Bounded pre-registration backoff for native-thread joiners: 64
 /// pipeline pauses, then a few OS yields (arch::Backoff's ladder). The
 /// pauses catch a child that is terminating RIGHT NOW without paying the
@@ -33,19 +28,12 @@ std::atomic<bool> g_join_mode_set{false};
 /// direct wake — this is never an open-ended poll.
 constexpr unsigned kJoinBackoffSteps = 64 + 16;
 
-JoinMode join_mode_from_env() noexcept {
-    const char* env = std::getenv("LWT_JOIN");
-    if (env != nullptr && std::strcmp(env, "poll") == 0) {
-        return JoinMode::kPoll;
-    }
-    return JoinMode::kHandoff;
-}
-
-/// The pre-handoff join shape, kept as the LWT_JOIN=poll escape hatch
-/// (and the degraded path when a second joiner finds the slot occupied).
-/// Ends by waiting out the terminator's slot publish so the caller may
-/// reclaim the unit.
-void poll_join(WorkUnit* unit) {
+/// A second joiner found the slot taken by the first: there is nothing
+/// to register in, so it waits by yielding the stream until the unit
+/// terminates (a deadlock guard, not a join path — one joiner per unit is
+/// the norm). Ends by waiting out the terminator's slot publish so the
+/// caller may reclaim the unit once every joiner has returned.
+void wait_as_second_joiner(WorkUnit* unit) {
     if (Ult* self = Ult::current()) {
         if (unit->kind == Kind::kUlt) {
             // Joining a ULT: hand the stream to the joinee each pass (the
@@ -122,19 +110,6 @@ void record_handoff_latency(std::uint64_t stamp) noexcept {
 }
 
 }  // namespace
-
-JoinMode join_mode() noexcept {
-    if (!g_join_mode_set.load(std::memory_order_acquire)) {
-        g_join_mode.store(join_mode_from_env(), std::memory_order_relaxed);
-        g_join_mode_set.store(true, std::memory_order_release);
-    }
-    return g_join_mode.load(std::memory_order_relaxed);
-}
-
-void set_join_mode(JoinMode mode) noexcept {
-    g_join_mode.store(mode, std::memory_order_relaxed);
-    g_join_mode_set.store(true, std::memory_order_release);
-}
 
 void publish_termination(WorkUnit* unit) noexcept {
     const std::uint64_t stamp =
@@ -221,10 +196,6 @@ void join_unit(WorkUnit* unit) {
     if (unit->join_done()) {
         return;
     }
-    if (join_mode() == JoinMode::kPoll) {
-        poll_join(unit);
-        return;
-    }
     XStream* stream = XStream::current();
     bool may_steal = stream != nullptr;
     for (;;) {
@@ -257,7 +228,7 @@ void join_unit(WorkUnit* unit) {
                 // Only the terminator's wake routes through the slot, so
                 // resuming means the join is done and published. Do NOT
                 // touch the unit from here on (not even to assert): a
-                // concurrent poll-mode joiner can observe the publish and
+                // concurrent second joiner can observe the publish and
                 // let its caller free the unit before we are rescheduled.
                 // The handoff stamp therefore arrives in OUR descriptor.
                 record_handoff_latency(self->obs_handoff_tsc.exchange(
@@ -268,7 +239,7 @@ void join_unit(WorkUnit* unit) {
             if (prev == kJoinerTerminated) {
                 return;
             }
-            poll_join(unit);  // second joiner: degrade, don't deadlock
+            wait_as_second_joiner(unit);
             return;
         }
         // OS-thread joiner. Help-first: while this stream still holds
@@ -276,9 +247,8 @@ void join_unit(WorkUnit* unit) {
         // is progress the workload needs, on FIFO pools the joinee
         // surfaces in queue order anyway, and fine-grained join storms
         // never pay the register/notify round trip while queues are
-        // nonempty. (This is exactly what the poll loop's run_until did
-        // productively; handoff changes what happens when the stream
-        // runs DRY — register once + one direct wake, no idle ladder.)
+        // nonempty. Only when the stream runs DRY does the joiner
+        // register once and wait for one direct wake — no idle ladder.
         if (stream != nullptr && stream->progress()) {
             continue;
         }
@@ -325,7 +295,7 @@ void join_unit(WorkUnit* unit) {
         if (prev == kJoinerTerminated) {
             return;
         }
-        poll_join(unit);
+        wait_as_second_joiner(unit);
         return;
     }
 }

@@ -7,11 +7,7 @@
 // the join target: if the unit is still kReady in a removable pool it runs
 // the child itself (work-first, the Cilk/MassiveThreads discipline),
 // saving the full queue round-trip Figures 3/8 measure.
-//
-// LWT_JOIN=poll restores the old polling joins for A/B ablation.
 #pragma once
-
-#include <cstdint>
 
 #include "core/work_unit.hpp"
 
@@ -19,26 +15,12 @@ namespace lwt::core {
 
 class EventCounter;
 
-/// Which join implementation the process uses (LWT_JOIN=handoff|poll,
-/// default handoff). Cached after the first read; tests may override with
-/// set_join_mode().
-enum class JoinMode : std::uint8_t {
-    kHandoff,  ///< joiner-slot registration + direct wake (default)
-    kPoll,     ///< pre-handoff behaviour: poll terminated() in a yield loop
-};
-
-[[nodiscard]] JoinMode join_mode() noexcept;
-
-/// Override the cached mode (tests A/B both paths in one process; also
-/// applied when the LWT_JOIN env changes can't reach the cache).
-void set_join_mode(JoinMode mode) noexcept;
-
 /// Block until `unit` terminated AND its joiner slot is published, using
-/// the handoff protocol (or the poll fallback under LWT_JOIN=poll). On
-/// return the caller may reclaim the unit. At most one joiner per unit;
-/// a second concurrent joiner degrades to polling, and with two joiners
-/// the unit may only be reclaimed once BOTH have returned (the waiting
-/// side must keep reading the unit's state).
+/// the handoff protocol. On return the caller may reclaim the unit. One
+/// joiner owns the slot; a second concurrent joiner finds it taken and
+/// waits by yielding until the publish (it has no slot to be woken
+/// through), so with two joiners the unit may only be reclaimed once BOTH
+/// have returned (the second keeps reading the unit's state).
 void join_unit(WorkUnit* unit);
 
 /// Work-first join stealing: if `unit` is still kReady and its pool can

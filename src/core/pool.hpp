@@ -12,18 +12,12 @@
 #include <span>
 
 #include "core/work_unit.hpp"
-#include "queue/chase_lev_deque.hpp"
 #include "queue/global_queue.hpp"
 #include "queue/locked_deque.hpp"
 #include "queue/mpmc_queue.hpp"
-#include "queue/ms_queue.hpp"
 #include "sync/parking_lot.hpp"
 
 namespace lwt::core {
-
-/// Outcome of one steal probe (re-exported from the queue layer so
-/// schedulers need not name lwt::queue).
-using StealOutcome = queue::StealOutcome;
 
 /// Abstract work-unit container as seen by schedulers.
 class Pool {
@@ -58,17 +52,6 @@ class Pool {
     /// do not support stealing return nullptr.
     virtual WorkUnit* steal() { return nullptr; }
 
-    /// Steal with an outcome report for telemetry. Pools whose steal end
-    /// can lose a race (WsPool's Chase-Lev CAS) override this to
-    /// distinguish kLost from kEmpty; for the rest a null result means
-    /// empty.
-    virtual WorkUnit* steal(StealOutcome& outcome) {
-        WorkUnit* unit = steal();
-        outcome = unit != nullptr ? StealOutcome::kSuccess
-                                  : StealOutcome::kEmpty;
-        return unit;
-    }
-
     /// Remove a specific ready unit (needed by yield_to). Returns false if
     /// the unit is not present or the pool cannot remove by identity.
     virtual bool remove(WorkUnit* unit) {
@@ -77,25 +60,15 @@ class Pool {
     }
 
     /// Approximate number of queued units — a HINT, not a count. Lock-free
-    /// pools may report stale values, and UnboundedSharedPool can only
-    /// report emptiness (0 or 1). Use empty() for gating decisions and
+    /// pools may report stale values. Use empty() for gating decisions and
     /// treat nonzero values as "roughly this much" (depth sampling,
     /// diagnostics) — never as an exact occupancy.
     [[nodiscard]] virtual std::size_t size_hint() const = 0;
 
     /// Emptiness check. Default derives from size_hint(); pools whose
     /// backing queue has a cheaper or more truthful emptiness test
-    /// override it (UnboundedSharedPool: an MS queue has no O(1) size but
-    /// an exact empty()).
+    /// override it.
     [[nodiscard]] virtual bool empty() const { return size_hint() == 0; }
-
-    /// Whether push() is safe from an arbitrary thread. False only for
-    /// owner-only producers (WsPool's Chase-Lev bottom). Cross-thread
-    /// injectors — the obs introspection server picking a pool to seed its
-    /// acceptor ULT into — must skip pools that return false.
-    [[nodiscard]] virtual bool cross_push_safe() const noexcept {
-        return true;
-    }
 
     /// How push() wakes parked consumers. kAll broadcasts (safe default);
     /// kOne wakes a single stream — correct only when EVERY stream that
@@ -138,8 +111,7 @@ class Pool {
         unit->state.store(State::kReady, std::memory_order_release);
     }
 
-    /// Wake parked consumers. push() calls this after do_push; pools with
-    /// extra entry points (PriorityPool::push_with) call it themselves.
+    /// Wake parked consumers. push() calls this after do_push.
     /// A single-unit publish into a kOne pool wakes one stream — one unit
     /// can occupy one consumer; the rest would wake, find nothing, and
     /// walk the idle ladder back to the park (the thundering herd the
@@ -208,31 +180,6 @@ class MpmcPool final : public Pool {
     queue::MpmcQueue<WorkUnit*> queue_;
 };
 
-/// Unbounded lock-free shared pool over the Michael-Scott queue: the
-/// MpmcPool without a capacity bound, for workloads whose outstanding unit
-/// count cannot be sized up front. Nodes are reclaimed through the hazard-
-/// pointer domain.
-class UnboundedSharedPool final : public Pool {
-  public:
-    WorkUnit* pop() override { return queue_.try_pop().value_or(nullptr); }
-    WorkUnit* steal() override { return pop(); }
-    [[nodiscard]] std::size_t size_hint() const override {
-        // MS queues have no O(1) size: the hint saturates at 1 ("not
-        // empty"). Callers wanting occupancy must not sum this pool in.
-        return queue_.empty() ? 0 : 1;
-    }
-    [[nodiscard]] bool empty() const override { return queue_.empty(); }
-
-  protected:
-    void do_push(WorkUnit* unit) override {
-        on_push(unit);
-        queue_.push(unit);
-    }
-
-  private:
-    queue::MsQueue<WorkUnit*> queue_;
-};
-
 /// Spinlock-protected deque with a configurable consumer end. This is the
 /// "one private queue per stream" building block: any thread may push
 /// (round-robin dispatch), the owner pops, thieves use steal().
@@ -275,46 +222,6 @@ class DequePool final : public Pool {
   private:
     PopOrder order_;
     queue::LockedDeque<WorkUnit*> deque_;
-};
-
-/// Chase-Lev work-stealing pool. push/pop are OWNER-ONLY (the stream the
-/// pool belongs to); any other stream may steal(). Used by the
-/// MassiveThreads-like and icc-OpenMP-like backends.
-class WsPool final : public Pool {
-  public:
-    explicit WsPool(std::size_t initial_capacity = 1024)
-        : deque_(initial_capacity) {}
-
-    WorkUnit* pop() override { return deque_.pop_bottom().value_or(nullptr); }
-    WorkUnit* steal() override { return deque_.steal_top().value_or(nullptr); }
-    WorkUnit* steal(StealOutcome& outcome) override {
-        WorkUnit* unit = nullptr;
-        outcome = deque_.steal_top(unit);
-        return outcome == StealOutcome::kSuccess ? unit : nullptr;
-    }
-    [[nodiscard]] std::size_t size_hint() const override {
-        return deque_.size_approx();
-    }
-    [[nodiscard]] bool cross_push_safe() const noexcept override {
-        return false;  // Chase-Lev push_bottom is owner-only
-    }
-
-  protected:
-    void do_push(WorkUnit* unit) override {
-        on_push(unit);
-        deque_.push_bottom(unit);
-    }
-    /// Owner-only, like do_push: one grow-to-fit pass, then a single
-    /// release publish of `bottom_` covering the whole batch.
-    void do_push_bulk(std::span<WorkUnit* const> units) override {
-        for (WorkUnit* unit : units) {
-            on_push(unit);
-        }
-        deque_.push_bottom_bulk(units.data(), units.size());
-    }
-
-  private:
-    queue::ChaseLevDeque<WorkUnit*> deque_;
 };
 
 }  // namespace lwt::core

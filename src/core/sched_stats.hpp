@@ -8,6 +8,9 @@
 // outcomes may be bumped by whichever thread drives the scheduler) and
 // snapshotted from anywhere; a snapshot is a plain struct that sums with
 // operator+= so Runtime::sched_stats() can aggregate across streams.
+// Steal probes are stored once, per (tier, outcome); every steal total in
+// a snapshot is derived from those cells, so a live read can never see an
+// attempt whose outcome is not booked yet.
 #pragma once
 
 #include <array>
@@ -16,6 +19,7 @@
 
 #include "arch/cpu.hpp"
 #include "arch/locality.hpp"
+#include "queue/chase_lev_deque.hpp"
 
 namespace lwt::core {
 
@@ -49,8 +53,8 @@ struct SchedStats {
 
     /// Per-tier breakdown of steal_attempts/steal_hits, indexed by
     /// arch::StealTier (sibling / package / remote). A flat (untiered)
-    /// StealingScheduler accounts everything to the package tier; tier
-    /// sums equal the totals above.
+    /// StealingScheduler and momp's TaskPool account everything to the
+    /// package tier; tier sums equal the totals above.
     std::array<std::uint64_t, kStealTiers> tier_attempts{};
     std::array<std::uint64_t, kStealTiers> tier_hits{};
 
@@ -85,53 +89,70 @@ struct SchedStats {
 /// momp's TaskPool keeps one per pool). Cache-line aligned so two streams
 /// never false-share their counters.
 struct alignas(arch::kCacheLine) SchedCounters {
-    std::atomic<std::uint64_t> steal_attempts{0};
-    std::atomic<std::uint64_t> steal_hits{0};
-    std::atomic<std::uint64_t> steal_empty{0};
-    std::atomic<std::uint64_t> steal_lost{0};
     std::atomic<std::uint64_t> idle_spins{0};
     std::atomic<std::uint64_t> idle_yields{0};
     std::atomic<std::uint64_t> parks{0};
     std::atomic<std::uint64_t> unparks{0};
     std::atomic<std::uint64_t> park_timeouts{0};
-    std::array<std::atomic<std::uint64_t>, kStealTiers> tier_attempts{};
+    /// Steal probes by distance tier and outcome. Attempts and totals are
+    /// not stored: snapshot() sums them from these cells.
     std::array<std::atomic<std::uint64_t>, kStealTiers> tier_hits{};
+    std::array<std::atomic<std::uint64_t>, kStealTiers> tier_empty{};
+    std::array<std::atomic<std::uint64_t>, kStealTiers> tier_lost{};
 
     static void bump(std::atomic<std::uint64_t>& c) noexcept {
         c.fetch_add(1, std::memory_order_relaxed);
     }
 
+    /// Book one steal probe at distance tier `tier`: one relaxed RMW.
+    void record_steal(std::size_t tier, queue::StealOutcome outcome) noexcept {
+        switch (outcome) {
+            case queue::StealOutcome::kSuccess:
+                bump(tier_hits[tier]);
+                break;
+            case queue::StealOutcome::kEmpty:
+                bump(tier_empty[tier]);
+                break;
+            case queue::StealOutcome::kLost:
+                bump(tier_lost[tier]);
+                break;
+        }
+    }
+
     [[nodiscard]] SchedStats snapshot() const noexcept {
         SchedStats s;
-        s.steal_attempts = steal_attempts.load(std::memory_order_relaxed);
-        s.steal_hits = steal_hits.load(std::memory_order_relaxed);
-        s.steal_empty = steal_empty.load(std::memory_order_relaxed);
-        s.steal_lost = steal_lost.load(std::memory_order_relaxed);
         s.idle_spins = idle_spins.load(std::memory_order_relaxed);
         s.idle_yields = idle_yields.load(std::memory_order_relaxed);
         s.parks = parks.load(std::memory_order_relaxed);
         s.unparks = unparks.load(std::memory_order_relaxed);
         s.park_timeouts = park_timeouts.load(std::memory_order_relaxed);
         for (std::size_t t = 0; t < kStealTiers; ++t) {
-            s.tier_attempts[t] = tier_attempts[t].load(std::memory_order_relaxed);
-            s.tier_hits[t] = tier_hits[t].load(std::memory_order_relaxed);
+            const std::uint64_t hits =
+                tier_hits[t].load(std::memory_order_relaxed);
+            const std::uint64_t empty =
+                tier_empty[t].load(std::memory_order_relaxed);
+            const std::uint64_t lost =
+                tier_lost[t].load(std::memory_order_relaxed);
+            s.tier_hits[t] = hits;
+            s.tier_attempts[t] = hits + empty + lost;
+            s.steal_hits += hits;
+            s.steal_empty += empty;
+            s.steal_lost += lost;
+            s.steal_attempts += s.tier_attempts[t];
         }
         return s;
     }
 
     void reset() noexcept {
-        steal_attempts.store(0, std::memory_order_relaxed);
-        steal_hits.store(0, std::memory_order_relaxed);
-        steal_empty.store(0, std::memory_order_relaxed);
-        steal_lost.store(0, std::memory_order_relaxed);
         idle_spins.store(0, std::memory_order_relaxed);
         idle_yields.store(0, std::memory_order_relaxed);
         parks.store(0, std::memory_order_relaxed);
         unparks.store(0, std::memory_order_relaxed);
         park_timeouts.store(0, std::memory_order_relaxed);
         for (std::size_t t = 0; t < kStealTiers; ++t) {
-            tier_attempts[t].store(0, std::memory_order_relaxed);
             tier_hits[t].store(0, std::memory_order_relaxed);
+            tier_empty[t].store(0, std::memory_order_relaxed);
+            tier_lost[t].store(0, std::memory_order_relaxed);
         }
     }
 };

@@ -96,9 +96,9 @@ class Scheduler {
 /// a sweep exhausts SMT siblings (linear — the tier is tiny), then
 /// same-package victims (probes + linear), then remote packages (probes +
 /// linear), so a thief only crosses the socket when its own package is
-/// provably dry. Per-tier attempts/hits land in SchedCounters next to the
-/// flat totals. The untiered constructor puts every victim in the package
-/// tier, which reproduces the flat sweep exactly.
+/// provably dry. Each probe's outcome is booked per tier in SchedCounters,
+/// which derives the flat totals. The untiered constructor puts every
+/// victim in the package tier, which reproduces the flat sweep exactly.
 /// Steal-sweep shape for StealingScheduler.
 struct StealConfig {
     /// Random probes per sweep (per tier) before the linear fallback.
@@ -247,24 +247,14 @@ class StealingScheduler : public Scheduler {
         return nullptr;
     }
 
+    /// Pool::steal() returns a unit or nothing, so a probe books a hit or
+    /// an empty victim (kLost comes only from momp's Chase-Lev deques).
     WorkUnit* probe(Pool* victim, std::size_t tier) {
-        StealOutcome outcome;
-        WorkUnit* unit = victim->steal(outcome);
+        WorkUnit* unit = victim->steal();
         if (stats_ != nullptr) {
-            SchedCounters::bump(stats_->steal_attempts);
-            SchedCounters::bump(stats_->tier_attempts[tier]);
-            switch (outcome) {
-                case StealOutcome::kSuccess:
-                    SchedCounters::bump(stats_->steal_hits);
-                    SchedCounters::bump(stats_->tier_hits[tier]);
-                    break;
-                case StealOutcome::kEmpty:
-                    SchedCounters::bump(stats_->steal_empty);
-                    break;
-                case StealOutcome::kLost:
-                    SchedCounters::bump(stats_->steal_lost);
-                    break;
-            }
+            stats_->record_steal(tier, unit != nullptr
+                                           ? queue::StealOutcome::kSuccess
+                                           : queue::StealOutcome::kEmpty);
         }
         return unit;
     }

@@ -35,7 +35,6 @@
 #include "arch/topology.hpp"
 #include "core/channel.hpp"
 #include "core/future.hpp"
-#include "core/join.hpp"
 #include "core/metrics.hpp"
 #include "core/sched_stats.hpp"
 #include "core/sync_ult.hpp"
@@ -215,8 +214,6 @@ struct RuntimeOptions {
     std::string topology;
     /// Thread-pinning policy (LWT_BIND); nullopt = backend default.
     std::optional<arch::BindPolicy> bind;
-    /// Join protocol, handoff vs poll (LWT_JOIN); nullopt = handoff.
-    std::optional<core::JoinMode> join;
     /// Idle-stream ladder policy (LWT_IDLE_POLICY); nullopt = backoff.
     std::optional<sync::IdlePolicy> idle;
     /// Free-stack cache cap per pool (LWT_STACK_CACHE); nullopt = 64.
@@ -250,7 +247,7 @@ struct RuntimeOptions {
 };
 
 /// Boot a runtime from RuntimeOptions: installs the programmatic defaults
-/// into the subsystems (topology, binding, stacks, idle ladder, join mode,
+/// into the subsystems (topology, binding, stacks, idle ladder,
 /// observability sinks, reactor poller) — each deferring to its
 /// environment variable when set — then creates the backend. The defaults
 /// are process-wide and persist for later runtimes too (they are defaults,

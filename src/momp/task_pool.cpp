@@ -133,18 +133,15 @@ TaskPool::Task* TaskPool::take(std::size_t tid) {
         if (victim == tid) {
             continue;
         }
-        SchedCounters::bump(counters_.steal_attempts);
         Task* stolen = nullptr;
-        switch (per_thread_[victim]->steal_top(stolen)) {
-            case queue::StealOutcome::kSuccess:
-                SchedCounters::bump(counters_.steal_hits);
-                return stolen;
-            case queue::StealOutcome::kEmpty:
-                SchedCounters::bump(counters_.steal_empty);
-                break;
-            case queue::StealOutcome::kLost:
-                SchedCounters::bump(counters_.steal_lost);
-                break;
+        const queue::StealOutcome outcome =
+            per_thread_[victim]->steal_top(stolen);
+        // No locality tiers here: book to the package tier, as the flat
+        // StealingScheduler does.
+        counters_.record_steal(
+            static_cast<std::size_t>(arch::StealTier::kPackage), outcome);
+        if (outcome == queue::StealOutcome::kSuccess) {
+            return stolen;
         }
     }
     return nullptr;

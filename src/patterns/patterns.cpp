@@ -138,7 +138,7 @@ class AbtRunner final : public PatternRunner {
             unit_count(), [&body](std::size_t) { body(); });
         const double create_ms = t.stop_ms();
         t.start();
-        lib_.join_all_free(handles);  // one run_until over the batch
+        lib_.join_all_free(handles);  // one EventCounter wake per batch
         const double join_ms = t.stop_ms();
         return {create_ms, join_ms};
     }

@@ -152,13 +152,25 @@ class ParkingLot {
 /// Lifetime: the waiter owns the parker (stack allocation) and must not
 /// return until notified() is true; notify() reads the lot pointer before
 /// publishing the flag and touches only the (longer-lived) lot afterwards,
-/// and the bare path signals under the mutex, so notify() never touches a
-/// destroyed parker.
+/// and the bare path signals under the mutex, which the destructor takes
+/// too, so notify() never touches a destroyed parker.
 class ThreadParker {
   public:
     explicit ThreadParker(ParkingLot* lot = nullptr) noexcept : lot_(lot) {}
     ThreadParker(const ThreadParker&) = delete;
     ThreadParker& operator=(const ThreadParker&) = delete;
+
+    /// Waits out a bare-path notify() still inside its critical section: a
+    /// waiter may see notified() without the mutex (the attached-stream
+    /// loops in core/join.cpp and core/waiter.cpp poll it between
+    /// progress() calls) and destroy the parker while the notifier still
+    /// has the condvar to signal. A lot-routed notify() never touches the
+    /// mutex.
+    ~ThreadParker() {
+        if (lot_ == nullptr) {
+            std::lock_guard<std::mutex> guard(mutex_);
+        }
+    }
 
     [[nodiscard]] bool notified() const noexcept {
         return done_.load(std::memory_order_acquire);

@@ -19,6 +19,7 @@
 #include "core/work_unit.hpp"
 #include "glt/glt.hpp"
 #include "momp/momp.hpp"
+#include "queue/chase_lev_deque.hpp"
 #include "sync/parking_lot.hpp"
 
 namespace {
@@ -84,14 +85,22 @@ TEST(PushBulk, DequePoolNotifiesOnce) {
     expect_single_notify_per_batch(pool);
 }
 
-TEST(PushBulk, WsPoolNotifiesOnce) {
-    lwt::core::WsPool pool(16);  // smaller than the batch: forces growth
-    expect_single_notify_per_batch(pool);
-}
-
-TEST(PushBulk, UnboundedSharedPoolNotifiesOnce) {
-    lwt::core::UnboundedSharedPool pool;
-    expect_single_notify_per_batch(pool);
+// momp's icc flavour bulk-submits straight into its Chase-Lev deques: a
+// batch larger than the array must grow it once and publish every unit.
+TEST(PushBulk, ChaseLevBulkGrowsPastCapacity) {
+    lwt::queue::ChaseLevDeque<int> deque(16);
+    constexpr int kBatch = 64;
+    std::vector<int> batch(kBatch);
+    for (int i = 0; i < kBatch; ++i) {
+        batch[i] = i;
+    }
+    deque.push_bottom_bulk(batch.data(), batch.size());
+    EXPECT_EQ(deque.size_approx(), static_cast<std::size_t>(kBatch));
+    EXPECT_EQ(deque.steal_top().value_or(-1), 0);  // thieves take the oldest
+    for (int i = kBatch - 1; i >= 1; --i) {
+        EXPECT_EQ(deque.pop_bottom().value_or(-1), i);  // owner: newest first
+    }
+    EXPECT_FALSE(deque.pop_bottom().has_value());
 }
 
 // --- GLT v2 spawn_bulk/wait over every backend ----------------------------------
@@ -310,11 +319,12 @@ TEST(StackCache, BatchRefillAndDrainRoundTrip) {
 
 // --- stress: push_bulk racing concurrent stealers --------------------------------
 
-// TSan lane: the owner publishes whole batches into a Chase-Lev pool with
-// one release store while thieves hammer steal_top and the owner
-// interleaves pops. Every unit must be consumed exactly once.
-TEST(BulkStress, WsPoolPushBulkVsStealers) {
-    lwt::core::WsPool pool(64);
+// TSan lane: the owner publishes whole batches into a Chase-Lev deque (as
+// momp's icc flavour does) with one release store while thieves hammer
+// steal_top and the owner interleaves pops. Every unit must be consumed
+// exactly once.
+TEST(BulkStress, ChaseLevPushBulkVsStealers) {
+    lwt::queue::ChaseLevDeque<lwt::core::WorkUnit*> deque(64);
     constexpr std::size_t kBatches = 200;
     constexpr std::size_t kBatch = 64;
     std::atomic<bool> stop{false};
@@ -324,8 +334,8 @@ TEST(BulkStress, WsPoolPushBulkVsStealers) {
     for (int t = 0; t < 3; ++t) {
         thieves.emplace_back([&] {
             while (!stop.load(std::memory_order_acquire)) {
-                if (lwt::core::WorkUnit* u = pool.steal()) {
-                    delete u;
+                if (auto u = deque.steal_top()) {
+                    delete *u;
                     consumed.fetch_add(1, std::memory_order_relaxed);
                 }
             }
@@ -339,14 +349,14 @@ TEST(BulkStress, WsPoolPushBulkVsStealers) {
         for (std::size_t i = 0; i < kBatch; ++i) {
             batch.push_back(new lwt::core::Tasklet([] {}));
         }
-        pool.push_bulk(batch);
-        if (lwt::core::WorkUnit* u = pool.pop()) {
-            delete u;
+        deque.push_bottom_bulk(batch.data(), batch.size());
+        if (auto u = deque.pop_bottom()) {
+            delete *u;
             consumed.fetch_add(1, std::memory_order_relaxed);
         }
     }
-    while (lwt::core::WorkUnit* u = pool.pop()) {
-        delete u;
+    while (auto u = deque.pop_bottom()) {
+        delete *u;
         consumed.fetch_add(1, std::memory_order_relaxed);
     }
     // Thieves may hold in-flight steals; wait for the count to converge.
@@ -358,7 +368,7 @@ TEST(BulkStress, WsPoolPushBulkVsStealers) {
         t.join();
     }
     EXPECT_EQ(consumed.load(), kBatches * kBatch);
-    EXPECT_EQ(pool.size_hint(), 0u);
+    EXPECT_EQ(deque.size_approx(), 0u);
 }
 
 // Shared-pool variant: many producers bulk-push into one MPMC pool while

@@ -192,16 +192,6 @@ TEST(Pools, DequePoolLifoOrder) {
     EXPECT_EQ(pool.steal(), a.get());  // thief takes the oldest
 }
 
-TEST(Pools, WsPoolOwnerLifoThiefFifo) {
-    WsPool pool;
-    auto a = make_noop_tasklet();
-    auto b = make_noop_tasklet();
-    pool.push(a.get());
-    pool.push(b.get());
-    EXPECT_EQ(pool.steal(), a.get());
-    EXPECT_EQ(pool.pop(), b.get());
-}
-
 TEST(Pools, PushMarksUnitsReady) {
     SharedFifoPool pool;
     auto t = make_noop_tasklet();

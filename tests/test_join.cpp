@@ -1,8 +1,8 @@
 // Tests for the direct-handoff join path (core/join.hpp,
 // docs/join_path.md): joiner-slot registration and wake-on-terminate,
-// join-stealing, the suspend-based EventCounter, ThreadParker, and the
-// ParkingLot notify_one herd-avoidance — plus handoff-vs-poll equivalence
-// across the personalities.
+// join-stealing, the suspend-based EventCounter, ThreadParker, the
+// ParkingLot notify_one herd-avoidance, the second-joiner degrade path —
+// plus each personality's join workload checked against its known answer.
 //
 // TSan builds (tools/tsan.sh) run this file too: TSan cannot follow
 // fcontext switches, so every test that suspends/resumes a ULT is gated
@@ -17,12 +17,14 @@
 #include <vector>
 
 #include "abt/abt.hpp"
+#include "core/future.hpp"
 #include "core/join.hpp"
 #include "core/metrics.hpp"
 #include "core/pool.hpp"
 #include "core/runtime.hpp"
 #include "core/sync_ult.hpp"
 #include "core/ult.hpp"
+#include "core/work_unit.hpp"
 #include "core/xstream.hpp"
 #include "cvt/cvt.hpp"
 #include "gol/gol.hpp"
@@ -40,36 +42,7 @@
 
 namespace {
 
-using lwt::core::JoinMode;
-using lwt::core::join_mode;
-using lwt::core::set_join_mode;
-
-/// Force a join mode for one scope; restores handoff (the default under
-/// test) on exit so test order cannot leak poll mode.
-struct ModeGuard {
-    explicit ModeGuard(JoinMode m) { set_join_mode(m); }
-    ~ModeGuard() { set_join_mode(JoinMode::kHandoff); }
-};
-
 // --- kernel-level protocol ---------------------------------------------------
-
-TEST(JoinCore, UnboundedSharedPoolSizeHintSaturates) {
-    lwt::core::UnboundedSharedPool pool;
-    EXPECT_TRUE(pool.empty());
-    EXPECT_EQ(pool.size_hint(), 0u);
-    auto a = std::make_unique<lwt::core::Tasklet>([] {});
-    auto b = std::make_unique<lwt::core::Tasklet>([] {});
-    pool.push(a.get());
-    pool.push(b.get());
-    // An MS queue has no O(1) size: the hint must saturate at 1 ("not
-    // empty"), never report occupancy — while empty() stays exact.
-    EXPECT_FALSE(pool.empty());
-    EXPECT_EQ(pool.size_hint(), 1u);
-    EXPECT_NE(pool.pop(), nullptr);
-    EXPECT_NE(pool.pop(), nullptr);
-    EXPECT_TRUE(pool.empty());
-    EXPECT_EQ(pool.size_hint(), 0u);
-}
 
 TEST(JoinCore, NotifyOneCountsAvoidedWakeups) {
     lwt::sync::ParkingLot lot;
@@ -109,6 +82,23 @@ TEST(JoinCore, ThreadParkerBareRoundTrip) {
     parker.wait();
     EXPECT_TRUE(parker.notified());
     waker.join();
+}
+
+TEST(JoinCore, BareParkerOutlivesNotifyUnderLockFreeCheck) {
+    // OS threads only (TSan-safe). The attached-stream join wait polls
+    // notified() without the parker's mutex, so it can see the flag, return
+    // and destroy the parker while notify() still holds the mutex with the
+    // condvar left to signal. Heap parkers make a premature free visible
+    // to the sanitizers; in a plain build the reused memory could hang the
+    // notifier.
+    for (int round = 0; round < 2000; ++round) {
+        auto parker = std::make_unique<lwt::sync::ThreadParker>();
+        std::thread waker([p = parker.get()] { p->notify(); });
+        while (!parker->notified()) {
+        }
+        parker.reset();
+        waker.join();
+    }
 }
 
 TEST(JoinCore, PlainThreadJoinerIsWokenDirectly) {
@@ -177,13 +167,15 @@ TEST(JoinCore, HandoffRecordsSignalResumeLatency) {
     // Deterministic discriminator for CI's join-smoke leg: a joiner that
     // MUST suspend (the unit runs-and-sleeps on another stream, so steal/
     // help-first/backoff all fail) records its signal→resume sample in
-    // the "join.signal_resume_ticks" histogram; poll mode records none.
+    // the "join.signal_resume_ticks" histogram.
     // fig3's empty-bodied units can legally complete every join on the
     // help-first fast path on a small host, so the bench histogram alone
     // cannot assert the direct path was exercised.
     auto& hist = lwt::core::MetricsRegistry::instance().histogram(
         "join.signal_resume_ticks");
-    const auto blocked_join = [] {
+    lwt::core::Metrics::instance().enable();
+    hist.reset();
+    {
         lwt::core::DequePool pool;
         auto stream = std::make_unique<lwt::core::XStream>(
             0, std::make_unique<lwt::core::Scheduler>(
@@ -197,24 +189,11 @@ TEST(JoinCore, HandoffRecordsSignalResumeLatency) {
         EXPECT_TRUE(unit->join_done());
         delete unit;
         stream->stop_and_join();
-    };
-    lwt::core::Metrics::instance().enable();
-    hist.reset();
-    {
-        ModeGuard guard(JoinMode::kHandoff);
-        blocked_join();
     }
-    const std::uint64_t handoff_samples = hist.snapshot().count;
-    hist.reset();
-    {
-        ModeGuard guard(JoinMode::kPoll);
-        blocked_join();
-    }
-    const std::uint64_t poll_samples = hist.snapshot().count;
+    const std::uint64_t samples = hist.snapshot().count;
     lwt::core::Metrics::instance().disable();
     hist.reset();
-    EXPECT_GT(handoff_samples, 0u);
-    EXPECT_EQ(poll_samples, 0u);
+    EXPECT_GT(samples, 0u);
 }
 
 TEST(JoinCore, EventCounterLastSignalRaceStress) {
@@ -343,7 +322,143 @@ TEST(JoinCore, UltJoinerSuspendsUntilTermination) {
     other->stop_and_join();
 }
 
-// --- handoff vs poll equivalence across the personalities --------------------
+// --- second joiner: the slot is taken, both joiners still return -------------
+
+/// Which joiner takes the slot first; the other one finds it taken and
+/// degrades to the second-joiner wait.
+enum class FirstJoiner { kUlt, kThread };
+
+std::uintptr_t joiner_tag(const lwt::core::WorkUnit* unit) {
+    return unit->joiner.load(std::memory_order_acquire) &
+           lwt::core::kJoinerTagMask;
+}
+
+/// Both joiners of one unit, driven from whatever context owns the test:
+/// `spawn_ult_joiner` starts a ULT that joins `unit`, `idle` lets the
+/// caller's context make progress while it waits. The unit blocks on
+/// `release` until both joiners are in place, so neither can steal it or
+/// see it finish early. Each joiner checks join_done() as it returns; the
+/// caller frees the unit only after both have.
+template <typename SpawnUltJoiner, typename Idle>
+void run_two_joiners(FirstJoiner first, lwt::core::WorkUnit* unit,
+                     lwt::core::Event& release, SpawnUltJoiner&& spawn_ult_joiner,
+                     Idle&& idle, std::atomic<bool>& ult_done) {
+    std::atomic<bool> thread_started{false};
+    std::atomic<bool> thread_done{false};
+    std::atomic<bool> thread_saw_done{false};
+    auto wait_for = [&](auto&& pred) {
+        while (!pred()) {
+            idle();
+        }
+    };
+    std::thread os_joiner;
+    auto start_thread_joiner = [&] {
+        os_joiner = std::thread([&] {
+            thread_started.store(true);
+            lwt::core::join_unit(unit);
+            thread_saw_done.store(unit->join_done());
+            thread_done.store(true);
+        });
+    };
+    if (first == FirstJoiner::kUlt) {
+        spawn_ult_joiner();
+        wait_for([&] { return joiner_tag(unit) == lwt::core::kJoinerUltTag; });
+        start_thread_joiner();
+        wait_for([&] { return thread_started.load(); });
+    } else {
+        start_thread_joiner();
+        wait_for([&] {
+            return joiner_tag(unit) == lwt::core::kJoinerThreadTag;
+        });
+        spawn_ult_joiner();
+    }
+    // Give the second joiner time to find the slot taken: it needs only
+    // its bounded backoff (microseconds) to get there.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(unit->terminated());
+    release.set();
+    wait_for([&] { return thread_done.load() && ult_done.load(); });
+    os_joiner.join();
+    EXPECT_TRUE(thread_saw_done.load());
+}
+
+void abt_two_joiners(FirstJoiner first) {
+    lwt::abt::Config c;
+    c.num_xstreams = 3;
+    lwt::abt::Library lib(c);
+    lwt::core::Event release;
+    lwt::abt::UnitHandle child =
+        lib.thread_create([&] { release.wait(); }, /*pool_idx=*/1);
+    lwt::core::WorkUnit* unit = child.ult();
+    std::atomic<bool> ult_done{false};
+    std::atomic<bool> ult_saw_done{false};
+    lwt::abt::UnitHandle joiner;
+    run_two_joiners(
+        first, unit, release,
+        [&] {
+            joiner = lib.thread_create(
+                [&] {
+                    lwt::core::join_unit(unit);
+                    ult_saw_done.store(unit->join_done());
+                    ult_done.store(true);
+                },
+                /*pool_idx=*/2);
+        },
+        [] { std::this_thread::yield(); }, ult_done);
+    EXPECT_TRUE(ult_saw_done.load());
+    joiner.free();
+    child.free();  // both joiners returned: only now may the unit go
+}
+
+void mth_two_joiners(FirstJoiner first) {
+    lwt::mth::Config c;
+    c.num_workers = 3;
+    c.policy = lwt::mth::Policy::kWorkFirst;
+    lwt::mth::Library lib(c);
+    lib.run([&] {
+        lwt::core::Event release;
+        std::atomic<lwt::core::WorkUnit*> self{nullptr};
+        // Work-first: the child runs at once and blocks on `release`,
+        // which resumes this main ULT.
+        lwt::mth::ThreadHandle child = lib.create([&] {
+            self.store(lwt::core::Ult::current());
+            release.wait();
+        });
+        while (self.load() == nullptr) {
+            lwt::mth::Library::yield();
+        }
+        lwt::core::WorkUnit* unit = self.load();
+        std::atomic<bool> ult_done{false};
+        std::atomic<bool> ult_saw_done{false};
+        lwt::mth::ThreadHandle joiner;
+        run_two_joiners(
+            first, unit, release,
+            [&] {
+                joiner = lib.create([&] {
+                    lwt::core::join_unit(unit);
+                    ult_saw_done.store(unit->join_done());
+                    ult_done.store(true);
+                });
+            },
+            [] { lwt::mth::Library::yield(); }, ult_done);
+        EXPECT_TRUE(ult_saw_done.load());
+        joiner.join();
+        child.join();  // both joiners returned: only now may the unit go
+    });
+}
+
+TEST(SecondJoiner, AbtUltFirstThenOsThread) { abt_two_joiners(FirstJoiner::kUlt); }
+TEST(SecondJoiner, AbtOsThreadFirstThenUlt) {
+    abt_two_joiners(FirstJoiner::kThread);
+}
+TEST(SecondJoiner, MthWorkFirstUltFirstThenOsThread) {
+    mth_two_joiners(FirstJoiner::kUlt);
+}
+TEST(SecondJoiner, MthWorkFirstOsThreadFirstThenUlt) {
+    mth_two_joiners(FirstJoiner::kThread);
+}
+
+// --- every personality's join workload gives its known answer ----------------
 
 int abt_workload() {
     lwt::abt::Config c;
@@ -434,33 +549,17 @@ int gol_workload() {
     return sum.load();
 }
 
-template <typename Workload>
-void expect_mode_equivalence(Workload&& workload) {
-    int handoff = 0;
-    int poll = 0;
-    {
-        ModeGuard guard(JoinMode::kHandoff);
-        handoff = workload();
-    }
-    {
-        ModeGuard guard(JoinMode::kPoll);
-        poll = workload();
-    }
-    EXPECT_EQ(handoff, poll);
-}
+// Sums of 0..n-1 over each workload's units (abt adds one 1000 tasklet).
+TEST(JoinPersonalities, AbtJoinsEveryUnit) { EXPECT_EQ(abt_workload(), 496 + 1000); }
+TEST(JoinPersonalities, QthJoinsEveryUnit) { EXPECT_EQ(qth_workload(), 1128); }
+TEST(JoinPersonalities, MthJoinsEveryUnit) { EXPECT_EQ(mth_workload(), 496); }
+TEST(JoinPersonalities, CvtJoinsEveryUnit) { EXPECT_EQ(cvt_workload(), 120); }
+TEST(JoinPersonalities, GolJoinsEveryUnit) { EXPECT_EQ(gol_workload(), 2016); }
 
-TEST(JoinModes, AbtHandoffMatchesPoll) { expect_mode_equivalence(abt_workload); }
-TEST(JoinModes, QthHandoffMatchesPoll) { expect_mode_equivalence(qth_workload); }
-TEST(JoinModes, MthHandoffMatchesPoll) { expect_mode_equivalence(mth_workload); }
-TEST(JoinModes, CvtHandoffMatchesPoll) { expect_mode_equivalence(cvt_workload); }
-TEST(JoinModes, GolHandoffMatchesPoll) { expect_mode_equivalence(gol_workload); }
-
-TEST(JoinModes, PollModeRecursiveWorkFirstJoinCompletes) {
-    // Regression: under LWT_JOIN=poll a ULT joining a child ULT must hand
-    // the stream to the joinee each pass (yield_to), not plain-yield —
-    // under mth's LIFO deques a plain yield re-pops the joiner ahead of
-    // the child forever (the fib divide-and-conquer livelock).
-    ModeGuard guard(JoinMode::kPoll);
+TEST(JoinPersonalities, MthRecursiveWorkFirstJoinCompletes) {
+    // The fib divide-and-conquer shape: every ULT joins a child ULT under
+    // mth's LIFO deques, where a joiner that plain-yielded would be
+    // re-popped ahead of its child forever.
     lwt::mth::Config c;
     c.num_workers = 2;
     c.policy = lwt::mth::Policy::kWorkFirst;
@@ -470,36 +569,25 @@ TEST(JoinModes, PollModeRecursiveWorkFirstJoinCompletes) {
     EXPECT_EQ(result, 55);
 }
 
-TEST(JoinModes, HandoffJoinAvoidsIdleYields) {
+TEST(JoinPersonalities, HandoffJoinAvoidsIdleYields) {
     // The join phase of fig3 in miniature: the primary creates units onto
-    // a worker's pool and join-waits for each. Under handoff the primary
-    // registers and parks (zero idle ladder); under poll it walks
-    // run_until's spin/yield ladder. Handoff must burn no more yields.
-    auto run = [](JoinMode mode) {
-        ModeGuard guard(mode);
-        lwt::abt::Config c;
-        c.num_xstreams = 2;
-        lwt::abt::Library lib(c);
-        lib.runtime().reset_stats();
-        for (int round = 0; round < 8; ++round) {
-            lwt::abt::UnitHandle h = lib.thread_create(
-                [] {
-                    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-                },
-                /*pool_idx=*/1);
-            h.free();
-        }
-        // Primary stream only: the joiner's own idle behaviour, without
-        // the worker's unrelated between-rounds idling.
-        return lib.runtime().primary().sched_stats().idle_yields;
-    };
-    const std::uint64_t handoff_yields = run(JoinMode::kHandoff);
-    const std::uint64_t poll_yields = run(JoinMode::kPoll);
-    // Polling a 2 ms unit walks past the spin limit into yields every
-    // round; the handoff joiner registers and parks — its wait never
-    // touches the idle ladder at all.
-    EXPECT_EQ(handoff_yields, 0u);
-    EXPECT_GT(poll_yields, 0u);
+    // a worker's pool and join-waits for each. The joiner registers and
+    // parks for its direct wake, so its wait never touches the idle
+    // ladder at all (a polling joiner walks past the spin limit into
+    // yields on every 2 ms unit).
+    lwt::abt::Config c;
+    c.num_xstreams = 2;
+    lwt::abt::Library lib(c);
+    lib.runtime().reset_stats();
+    for (int round = 0; round < 8; ++round) {
+        lwt::abt::UnitHandle h = lib.thread_create(
+            [] { std::this_thread::sleep_for(std::chrono::milliseconds(2)); },
+            /*pool_idx=*/1);
+        h.free();
+    }
+    // Primary stream only: the joiner's own idle behaviour, without the
+    // worker's unrelated between-rounds idling.
+    EXPECT_EQ(lib.runtime().primary().sched_stats().idle_yields, 0u);
 }
 
 #endif  // !LWT_TSAN

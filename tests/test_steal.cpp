@@ -374,10 +374,11 @@ TEST(XStreamParking, IdleStreamsParkAndWakeOnPush) {
 TEST(StealStress, ManyThievesOneProducerNoLostOrDuplicatedWork) {
     constexpr std::size_t kStreams = 4;
     constexpr std::size_t kUnits = 20'000;
-    std::vector<std::unique_ptr<WsPool>> pools;
+    // DequePool(kLifo): the owner-LIFO / thief-FIFO pool mth runs on.
+    std::vector<std::unique_ptr<DequePool>> pools;
     std::vector<Pool*> raw;
     for (std::size_t i = 0; i < kStreams; ++i) {
-        pools.push_back(std::make_unique<WsPool>(64));  // force growth too
+        pools.push_back(std::make_unique<DequePool>(DequePool::PopOrder::kLifo));
         raw.push_back(pools.back().get());
     }
     lwt::sync::IdleConfig idle;
