@@ -258,13 +258,14 @@ bool run_point(const char* self, const Point& pt, PointResult& out) {
     // Only the write end crosses the exec; the read end stays ours.
     ::fcntl(pipefd[0], F_SETFD, FD_CLOEXEC);
 
-    char port_s[16], conns_s[16], payload_s[16], reqs_s[16], fd_s[16];
-    std::snprintf(port_s, sizeof port_s, "%u", listener.port());
-    std::snprintf(conns_s, sizeof conns_s, "%zu", pt.conns);
-    std::snprintf(payload_s, sizeof payload_s, "%zu", pt.payload);
-    std::snprintf(reqs_s, sizeof reqs_s, "%zu",
-                  static_cast<std::size_t>(env_long("LWTBENCH_NET_REQS", 4)));
-    std::snprintf(fd_s, sizeof fd_s, "%d", pipefd[1]);
+    // Formatted before the fork (the child may only exec), at full width:
+    // a large LWTBENCH_NET_REQS must reach the client uncut.
+    const std::string port_s = std::to_string(listener.port());
+    const std::string conns_s = std::to_string(pt.conns);
+    const std::string payload_s = std::to_string(pt.payload);
+    const std::string reqs_s = std::to_string(
+        static_cast<std::size_t>(env_long("LWTBENCH_NET_REQS", 4)));
+    const std::string fd_s = std::to_string(pipefd[1]);
 
     const pid_t pid = ::fork();
     if (pid < 0) {
@@ -273,8 +274,9 @@ bool run_point(const char* self, const Point& pt, PointResult& out) {
     }
     if (pid == 0) {
         // Multi-threaded parent: nothing but exec between fork and it.
-        ::execl(self, self, "--client", port_s, conns_s, payload_s, reqs_s,
-                fd_s, static_cast<char*>(nullptr));
+        ::execl(self, self, "--client", port_s.c_str(), conns_s.c_str(),
+                payload_s.c_str(), reqs_s.c_str(), fd_s.c_str(),
+                static_cast<char*>(nullptr));
         ::_exit(127);
     }
     ::close(pipefd[1]);

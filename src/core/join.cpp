@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cassert>
-#include <chrono>
 #include <thread>
 
 #include "arch/cpu.hpp"
@@ -71,20 +70,6 @@ std::uintptr_t register_joiner(WorkUnit* unit,
         return kJoinerNone;
     }
     return expected;
-}
-
-/// Attached-stream wait on a bare parker: keep draining the stream's
-/// pools, with a bounded condvar nap between empty sweeps so the direct
-/// wake is prompt and the stream still serves work other streams push at
-/// it (a private-pool chain may need this thread). Must not return before
-/// notified() — the terminator touches the parker in notify().
-void stream_wait(XStream* stream, sync::ThreadParker& parker) {
-    while (!parker.notified()) {
-        if (stream->progress()) {
-            continue;
-        }
-        (void)parker.wait_for(std::chrono::microseconds(50));
-    }
 }
 
 /// Stack record an OS-thread joiner registers in the slot
@@ -273,16 +258,16 @@ void join_unit(WorkUnit* unit) {
         // wakes exactly this thread (one condvar signal) instead of
         // broadcasting on the runtime lot, which would wake every parked
         // stream per join — a context-switch storm on oversubscribed
-        // hosts. The attached-stream wait below still drains the
-        // stream's pools between bounded naps, so a private-pool chain
-        // that needs this thread is served within ~50µs.
+        // hosts. XStream::wait_attached still serves the stream's pools
+        // between bounded naps, so a private-pool chain that needs this
+        // thread is not starved.
         ThreadJoinWaiter waiter;
         const std::uintptr_t prev = register_joiner(
             unit,
             reinterpret_cast<std::uintptr_t>(&waiter) | kJoinerThreadTag);
         if (prev == kJoinerNone) {
             if (stream != nullptr) {
-                stream_wait(stream, waiter.parker);
+                stream->wait_attached(waiter.parker);
             } else {
                 waiter.parker.wait();
             }

@@ -1,7 +1,5 @@
 #include "core/waiter.hpp"
 
-#include <chrono>
-
 #include "arch/cpu.hpp"
 #include "core/metrics.hpp"
 #include "core/xstream.hpp"
@@ -27,34 +25,14 @@ void record_sync_wake(std::uint64_t ticks) noexcept {
 }
 
 /// Thread-side wait used by both SyncBlocker and (via the installed hooks)
-/// sync::WaitTable: a bare thread sleeps, an attached stream keeps draining
-/// its pools between bounded parks so the runtime it is part of cannot
-/// starve while it blocks (same discipline as core/join.cpp stream_wait).
+/// sync::WaitTable: a bare thread sleeps, an attached stream keeps serving
+/// its pools (XStream::wait_attached) so the runtime it is part of cannot
+/// starve while it blocks.
 void thread_wait_impl(sync::ThreadParker& parker, XStream* stream) noexcept {
-    if (stream == nullptr) {
+    if (stream != nullptr) {
+        stream->wait_attached(parker);
+    } else {
         parker.wait();
-        return;
-    }
-    if (sync::ParkingLot* lot = parker.lot()) {
-        while (!parker.notified()) {
-            if (stream->progress()) {
-                continue;
-            }
-            const std::uint64_t ticket = lot->prepare_park();
-            if (parker.notified() || stream->scheduler().has_work() ||
-                stream->stop_requested()) {
-                lot->cancel_park();
-                continue;
-            }
-            (void)lot->park(ticket, std::chrono::microseconds(1000));
-        }
-        return;
-    }
-    while (!parker.notified()) {
-        if (stream->progress()) {
-            continue;
-        }
-        (void)parker.wait_for(std::chrono::microseconds(50));
     }
 }
 

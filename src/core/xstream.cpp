@@ -1,6 +1,7 @@
 #include "core/xstream.hpp"
 
 #include <cassert>
+#include <chrono>
 
 #include "arch/cpu.hpp"
 #include "core/join.hpp"
@@ -14,6 +15,15 @@ namespace lwt::core {
 namespace {
 
 thread_local XStream* tl_current_xstream = nullptr;
+
+/// Pre-park spin of wait_attached, in pauses (~5 µs at ~20 ns a pause):
+/// covers a joinee finishing on another core, which would otherwise cost
+/// a kernel sleep plus a cross-CPU wake per join.
+constexpr unsigned kAttachedSpin = 256;
+
+/// Bare-parker nap of wait_attached: its notify signals only the parker's
+/// condvar, so this bounds how long a push into our pools waits.
+constexpr std::chrono::microseconds kBareParkerNap{50};
 
 }  // namespace
 
@@ -89,8 +99,9 @@ void XStream::count_idle_step(sync::IdleBackoff::Step step) noexcept {
         case Step::kYielded:
             SchedCounters::bump(counters_.idle_yields);
             break;
-        case Step::kParkAborted:
-            break;  // the re-check found work; not an idle event
+        case Step::kRang:        // a push ended the train; go look
+        case Step::kParkAborted:  // the re-check found work
+            break;                // neither is an idle event
         case Step::kParkNotified:
             SchedCounters::bump(counters_.parks);
             SchedCounters::bump(counters_.unparks);
@@ -128,6 +139,40 @@ void XStream::loop() {
     }
     tl_current_xstream = nullptr;
     set_this_thread_stream(kNoStream);
+}
+
+void XStream::wait_attached(sync::ThreadParker& parker) {
+    using Step = sync::IdleBackoff::Step;
+    // Pushes into our pools bump the runtime lot whichever way the parker
+    // routes its own wake.
+    sync::ParkingLot* const lot = parking_lot_;
+    while (!parker.notified()) {
+        const std::uint64_t seen = lot != nullptr ? lot->epoch() : 0;
+        if (progress()) {
+            continue;
+        }
+        if (sync::pause_train(kAttachedSpin, lot, seen,
+                              [&] { return parker.notified(); })) {
+            count_idle_step(parker.notified() ? Step::kSpun : Step::kRang);
+            continue;
+        }
+        count_idle_step(Step::kSpun);
+        sync::ParkingLot* const wake_lot = parker.lot();
+        if (wake_lot == nullptr) {
+            count_idle_step(parker.wait_for(kBareParkerNap)
+                                ? Step::kParkNotified
+                                : Step::kParkTimeout);
+            continue;
+        }
+        const std::uint64_t ticket = wake_lot->prepare_park();
+        if (parker.notified() || scheduler().has_work() || stop_requested()) {
+            wake_lot->cancel_park();
+            continue;
+        }
+        count_idle_step(wake_lot->park(ticket, idle_config_.park_timeout)
+                            ? Step::kParkNotified
+                            : Step::kParkTimeout);
+    }
 }
 
 bool XStream::progress() {

@@ -81,16 +81,17 @@ class XStream {
     /// Drive the scheduling loop on the calling thread until `pred()` holds.
     /// The classic "return mode": Converse's CsdScheduler. Never parks —
     /// an arbitrary predicate may flip without any pool push, which no
-    /// waker reports — so the ladder is clamped at backoff. Joins and
-    /// counter waits do not come here: they register for a direct wakeup
-    /// instead (core/join.hpp, EventCounter::wait) and park race-free.
+    /// waker reports — so the ladder is clamped at backoff (the lot only
+    /// cuts its pause trains short). Joins and counter waits do not come
+    /// here: they register for a direct wakeup instead and wait in
+    /// wait_attached().
     template <typename Pred>
     void run_until(Pred&& pred) {
         sync::IdleConfig config = idle_config_;
         if (config.policy == sync::IdlePolicy::kPark) {
             config.policy = sync::IdlePolicy::kBackoff;
         }
-        sync::IdleBackoff idle(config, nullptr);
+        sync::IdleBackoff idle(config, parking_lot_);
         while (!pred()) {
             if (progress()) {
                 idle.reset();
@@ -99,6 +100,17 @@ class XStream {
             }
         }
     }
+
+    /// The attached-stream wait: block the calling thread (attached, e.g.
+    /// the primary) until `parker` is notified while it keeps serving this
+    /// stream's pools. Each round drains the pools, spins a short
+    /// yield-free pause train that ends on the notify or on a push (the
+    /// lot's epoch), then parks on the lot (lot-routed parker, woken by
+    /// pushes and the notify alike) or naps on the parker (bare parker,
+    /// whose naps bound how long a push into our pools waits). Steps are
+    /// booked in sched_stats(). Returns only once notified(), so the
+    /// waker is done with the parker.
+    void wait_attached(sync::ThreadParker& parker);
 
     /// Push a scheduler that preempts the current one until finished()
     /// (Argobots' stackable schedulers). Thread-safe.

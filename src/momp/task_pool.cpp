@@ -187,6 +187,7 @@ void TaskPool::wait_all(std::size_t tid) {
             case Step::kYielded:
                 SchedCounters::bump(counters_.idle_yields);
                 break;
+            case Step::kRang:
             case Step::kParkAborted:
                 break;
             case Step::kParkNotified:

@@ -147,7 +147,7 @@ class ParkingLot {
 ///  - lot-routed (lot != nullptr): notify() flips the flag and broadcasts
 ///    on the given ParkingLot instead. An *attached stream* waiter parks on
 ///    its runtime's lot so BOTH pool pushes and the termination wake it —
-///    it keeps draining its pools while waiting (see core/join.cpp).
+///    it keeps draining its pools while waiting (XStream::wait_attached).
 ///
 /// Lifetime: the waiter owns the parker (stack allocation) and must not
 /// return until notified() is true; notify() reads the lot pointer before
@@ -162,10 +162,10 @@ class ThreadParker {
 
     /// Waits out a bare-path notify() still inside its critical section: a
     /// waiter may see notified() without the mutex (the attached-stream
-    /// loops in core/join.cpp and core/waiter.cpp poll it between
-    /// progress() calls) and destroy the parker while the notifier still
-    /// has the condvar to signal. A lot-routed notify() never touches the
-    /// mutex.
+    /// wait, XStream::wait_attached, polls it between progress() calls
+    /// and during its pre-park spin) and destroy the parker while the
+    /// notifier still has the condvar to signal. A lot-routed notify()
+    /// never touches the mutex.
     ~ThreadParker() {
         if (lot_ == nullptr) {
             std::lock_guard<std::mutex> guard(mutex_);

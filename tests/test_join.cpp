@@ -260,6 +260,24 @@ TEST(JoinCore, EventCounterReusesAcrossRounds) {
     EXPECT_EQ(done.value(), 0);
 }
 
+TEST(JoinCore, AttachedWaitSpinsBoundedThenParksWithoutYielding) {
+    // The primary's join_all_free over a tasklet far longer than the
+    // pre-park spin: the wait gives up spinning and parks on the lot (at
+    // least one park), and never yields the OS thread on the way.
+    lwt::abt::Config c;
+    c.num_xstreams = 2;
+    lwt::abt::Library lib(c);
+    lib.runtime().reset_stats();
+    std::vector<lwt::abt::UnitHandle> handles;
+    handles.push_back(lib.task_create(
+        [] { std::this_thread::sleep_for(std::chrono::milliseconds(2)); },
+        /*pool_idx=*/1));
+    lib.join_all_free(handles);
+    const lwt::core::SchedStats s = lib.runtime().primary().sched_stats();
+    EXPECT_GE(s.parks, 1u);
+    EXPECT_EQ(s.idle_yields, 0u);
+}
+
 #if !defined(LWT_TSAN)
 
 TEST(JoinCore, UltJoinerStealsViaYieldTo) {

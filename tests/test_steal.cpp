@@ -286,6 +286,47 @@ TEST(IdleBackoff, ParkWithoutLotDegradesToBackoff) {
     }
 }
 
+TEST(IdleBackoff, PushBetweenStepsRingsTheTopTrain) {
+    using lwt::sync::IdleBackoff;
+    using Step = IdleBackoff::Step;
+    lwt::sync::ParkingLot lot;
+    lwt::sync::IdleConfig config;  // kBackoff, the default policy
+    config.spin_limit = 1;
+    IdleBackoff idle(config, &lot);
+    auto no_work = [] { return false; };
+    EXPECT_EQ(idle.step(no_work), Step::kSpun);
+    // Ten yields double the train up to its top length (1024 pauses).
+    for (int i = 0; i < 10; ++i) {
+        EXPECT_EQ(idle.step(no_work), Step::kYielded);
+    }
+    lot.notify_all();  // a push lands while the caller sweeps
+    EXPECT_EQ(idle.step(no_work), Step::kRang);
+    // The rang step did not climb the ladder: the next one runs the top
+    // train in full (the epoch is quiet again) and yields.
+    EXPECT_EQ(idle.step(no_work), Step::kYielded);
+}
+
+TEST(IdleBackoff, PauseTrainStopsOnEpochBeforeAnyPause) {
+    lwt::sync::ParkingLot lot;
+    const std::uint64_t seen = lot.epoch();
+    unsigned looks = 0;
+    auto count_looks = [&] {
+        ++looks;
+        return false;
+    };
+    // Quiet epoch: the whole train runs and consults done() on the way.
+    EXPECT_FALSE(lwt::sync::pause_train(1024, &lot, seen, count_looks));
+    EXPECT_GT(looks, 0u);
+    // Moved epoch: the train ends at its first look, before one pause.
+    lot.notify_all();
+    looks = 0;
+    EXPECT_TRUE(lwt::sync::pause_train(1024, &lot, seen, count_looks));
+    EXPECT_EQ(looks, 0u);
+    // done() ends it too; without a lot only done() can.
+    EXPECT_TRUE(lwt::sync::pause_train(1024, nullptr, 0, [] { return true; }));
+    EXPECT_FALSE(lwt::sync::pause_train(64, nullptr, 0, [] { return false; }));
+}
+
 TEST(IdlePolicy, ParsesFromStrings) {
     using lwt::sync::IdlePolicy;
     using lwt::sync::idle_policy_from_string;

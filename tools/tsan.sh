@@ -13,10 +13,15 @@
 #   (test_join and test_sync_ult self-gate their ULT-switching cases behind
 #   LWT_TSAN, leaving the parker/wait-table/channel-rendezvous/reactor
 #   timer-claim races for TSan to chew on.)
+#   With the default regex the script also runs a filtered test_bulk lane:
+#   that binary holds ULT tests, so only its Chase-Lev bulk-publish race
+#   test ($BULK_FILTER) runs, outside ctest.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-REGEX="${1:-test_steal|test_trace|test_metrics|test_topology|test_alloc|test_join|test_sync_ult|test_io|test_introspect}"
+DEFAULT_REGEX='test_steal|test_trace|test_metrics|test_topology|test_alloc|test_join|test_sync_ult|test_io|test_introspect'
+REGEX="${1:-$DEFAULT_REGEX}"
+BULK_FILTER='BulkStress.ChaseLevPushBulkVsStealers'
 BUILD=build-tsan
 
 cmake -B "$BUILD" -S . \
@@ -26,11 +31,23 @@ cmake -B "$BUILD" -S . \
   -DLWT_BUILD_BENCH=OFF \
   -DLWT_BUILD_EXAMPLES=OFF
 
+BULK_LANE=0
+TARGETS=$(echo "$REGEX" | tr '|' ' ')
+if [ "$REGEX" = "$DEFAULT_REGEX" ]; then
+  BULK_LANE=1
+  TARGETS="$TARGETS test_bulk"
+fi
+
 # Build only the targets the regex selects (plus their libs).
-cmake --build "$BUILD" -j"$(nproc)" --target \
-  $(echo "$REGEX" | tr '|' ' ')
+cmake --build "$BUILD" -j"$(nproc)" --target $TARGETS
 
 cd "$BUILD"
-TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
-  ctest --output-on-failure -R "$REGEX"
+export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
+ctest --output-on-failure -R "$REGEX"
 echo "TSan run clean for: $REGEX"
+if [ "$BULK_LANE" = 1 ]; then
+  # A filter that matches nothing passes vacuously; insist on the one test.
+  ./tests/test_bulk --gtest_filter="$BULK_FILTER" | tee bulk_lane.log
+  grep -q '^\[  PASSED  \] 1 test\.' bulk_lane.log
+  echo "TSan run clean for: test_bulk --gtest_filter=$BULK_FILTER"
+fi
