@@ -121,8 +121,9 @@ inline void run_create_join_figure(const std::string& title, int phase,
     // for the bulk path's one-notify/one-burst submission to matter.
     const std::size_t units = env_size("LWTBENCH_UNITS", 1);
     std::printf("# %s%s\n", title.c_str(), bulk ? " [bulk]" : "");
-    std::printf("# reps=%zu warmup=%zu units_per_thread=%zu unit=ms\n",
-                config.reps, config.warmup, units);
+    std::printf("# reps=%zu warmup=%zu units_per_thread=%zu unit=ms bind=%s\n",
+                config.reps, config.warmup, units,
+                lwt::benchsupport::bind_policy_label());
     std::printf("threads");
     for (Variant v : lwt::patterns::all_variants()) {
         std::printf(",%s", std::string(lwt::patterns::variant_name(v)).c_str());

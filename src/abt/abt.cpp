@@ -139,8 +139,8 @@ thread_local PoolView tl_pool_view;
 
 Library::Library(Config config) : config_(config) {
     pool_gen_.store(next_pool_gen(), std::memory_order_relaxed);
-    const std::size_t n = core::Runtime::resolve_stream_count(
-        config_.num_xstreams, "LWT_NUM_STREAMS");
+    const std::size_t n =
+        core::Runtime::resolve_stream_count(config_.num_xstreams);
     config_.num_xstreams = n;
     const arch::BindPolicy bind = arch::resolve_bind_policy(config_.bind);
     arch::LocalityMap locality(arch::Topology::from_env_or_discover(), bind,

@@ -46,8 +46,8 @@ enum class UnitKind {
 };
 
 struct Config {
-    /// Number of execution streams; 0 resolves via LWT_NUM_STREAMS env var,
-    /// then the hardware thread count.
+    /// Number of execution streams; 0 resolves via LWT_NUM_STREAMS, then
+    /// the hardware thread count.
     std::size_t num_xstreams = 0;
     PoolKind pool_kind = PoolKind::kPrivate;
     /// Reuse ULT stacks through the process-wide default stack source

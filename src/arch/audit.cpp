@@ -1,10 +1,9 @@
 #include "arch/audit.hpp"
 
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <vector>
 
+#include "arch/settings.hpp"
 #include "sync/spinlock.hpp"
 
 namespace lwt::arch::audit {
@@ -39,13 +38,8 @@ Shard& shard_for_this_thread() {
 }
 
 bool enabled_slow() noexcept {
-    const char* env = std::getenv("LWT_CREATE_AUDIT");
-    const int on = env != nullptr && *env != '\0' &&
-                           std::strcmp(env, "0") != 0
-                       ? 1
-                       : 0;
-    cached_flag().store(on, std::memory_order_relaxed);
-    return on != 0;
+    (void)settings();  // the first load publishes Settings::create_audit
+    return cached_flag().load(std::memory_order_relaxed) > 0;
 }
 
 }  // namespace detail

@@ -44,7 +44,8 @@ inline void bump(std::atomic<std::uint64_t>& c,
 
 }  // namespace detail
 
-/// True when LWT_CREATE_AUDIT=1 (resolved once) or force_enable(true).
+/// Settings::create_audit (LWT_CREATE_AUDIT) as of the last runtime boot,
+/// or the last force_enable() since.
 inline bool enabled() noexcept {
     const int f = detail::cached_flag().load(std::memory_order_relaxed);
     if (f >= 0) {
@@ -53,7 +54,8 @@ inline bool enabled() noexcept {
     return detail::enabled_slow();
 }
 
-/// Test/tool hook: flip the mode regardless of the environment.
+/// Test/tool hook: flip the mode regardless of the environment, until the
+/// next load_settings() (runtime boot) re-publishes the setting.
 void force_enable(bool on) noexcept;
 
 /// One shared-cacheline RMW (lock acquire, fetch_add, CAS) on the spawn

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <new>
 
 namespace lwt::arch {
@@ -24,7 +23,6 @@ std::atomic<std::uint64_t> g_stack_maps{0};
 std::atomic<std::uint64_t> g_stack_unmaps{0};
 std::atomic<std::uint64_t> g_thp_denied{0};
 std::atomic<bool> g_thp_force_fail{false};
-std::atomic<int> g_default_stack_huge{-1};  // -1 = no programmatic default
 
 }  // namespace
 
@@ -100,34 +98,12 @@ void Stack::decommit() noexcept {
     }
 }
 
-namespace {
-
-std::atomic<long> g_default_stack_cache{-1};  // -1 = no programmatic default
-
-}  // namespace
-
-void set_default_stack_cache(std::optional<std::size_t> max_cached) {
-    g_default_stack_cache.store(
-        max_cached ? static_cast<long>(*max_cached) : -1,
-        std::memory_order_relaxed);
-}
-
 StackPool::StackPool(std::size_t stack_bytes, std::size_t max_cached)
     // Stored rounded so stack_bytes() compares equal to what allocated
     // stacks report via usable() (allocate() rounds the same way).
-    : stack_bytes_(round_up_pages(stack_bytes)), max_cached_(max_cached) {
-    if (const char* env = std::getenv("LWT_STACK_CACHE")) {
-        const long v = std::atol(env);
-        if (v >= 0) {
-            max_cached_ = static_cast<std::size_t>(v);
-        }
-    } else if (const long def =
-                   g_default_stack_cache.load(std::memory_order_relaxed);
-               def >= 0) {
-        max_cached_ = static_cast<std::size_t>(def);
-    }
-    soft_watermark_ = max_cached_ / 2;
-}
+    : stack_bytes_(round_up_pages(stack_bytes)),
+      max_cached_(settings().stack_cache.value_or(max_cached)),
+      soft_watermark_(max_cached_ / 2) {}
 
 Stack StackPool::acquire() {
     if (!free_.empty()) {
@@ -169,28 +145,6 @@ void StackPool::recycle_bulk(std::vector<Stack>& stacks) {
     stacks.clear();
 }
 
-std::size_t default_stack_size() noexcept {
-    if (const char* env = std::getenv("LWT_STACKSIZE")) {
-        const long v = std::atol(env);
-        if (v >= 4096) {
-            return static_cast<std::size_t>(v);
-        }
-    }
-    return 64 * 1024;
-}
-
-bool stack_huge_enabled() noexcept {
-    if (const char* env = std::getenv("LWT_STACK_HUGE")) {
-        return *env != '\0' && *env != '0';
-    }
-    return g_default_stack_huge.load(std::memory_order_relaxed) == 1;
-}
-
-void set_default_stack_huge(std::optional<bool> huge) {
-    g_default_stack_huge.store(huge ? (*huge ? 1 : 0) : -1,
-                               std::memory_order_relaxed);
-}
-
 void stack_thp_force_failure(bool fail) noexcept {
     g_thp_force_fail.store(fail, std::memory_order_relaxed);
 }
@@ -211,8 +165,8 @@ namespace {
 
 // The default stack source's shared tier. Leaked: Ult destructors recycle
 // stacks from thread_local destructor chains during static destruction.
-// Cap 1024 (LWT_STACK_CACHE still overrides inside StackPool): the create
-// benchmarks keep thousands of units live per burst, and a cap that
+// Cap 1024 (Settings::stack_cache still overrides inside StackPool): the
+// create benchmarks keep thousands of units live per burst, and a cap that
 // swallows a whole burst is what turns per-spawn mmaps into pops. The
 // soft-watermark decommit inside StackPool keeps those cached-but-idle
 // stacks from pinning RSS.
@@ -232,8 +186,8 @@ StackCache& default_source_cache() {
 Stack acquire_default_stack() {
     SharedStackPool& pool = default_source();
     if (round_up_pages(default_stack_size()) != pool.stack_bytes()) {
-        // LWT_STACKSIZE changed after the source was built: serve the new
-        // size unpooled rather than hand out a wrong-sized stack.
+        // A later boot resolved another LWT_STACKSIZE: serve the new size
+        // unpooled rather than hand out a wrong-sized stack.
         return Stack::allocate(default_stack_size());
     }
     return default_source_cache().acquire();

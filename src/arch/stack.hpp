@@ -4,11 +4,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "arch/audit.hpp"
+#include "arch/settings.hpp"
 
 namespace lwt::arch {
 
@@ -30,8 +30,8 @@ class Stack {
     /// Map a stack with at least `usable_bytes` of usable space (rounded up
     /// to whole pages) plus one guard page. Throws std::bad_alloc on failure.
     /// The mapping is lazily committed (MAP_NORESERVE): pages cost RSS only
-    /// once the ULT actually touches them. The one-arg form resolves the
-    /// hugepage preference via stack_huge_enabled().
+    /// once the ULT actually touches them. The one-arg form takes the
+    /// hugepage preference from stack_huge_enabled() (settings.hpp).
     static Stack allocate(std::size_t usable_bytes);
     static Stack allocate(std::size_t usable_bytes, bool huge);
 
@@ -63,9 +63,9 @@ class Stack {
 class StackPool {
   public:
     /// `stack_bytes` is the usable size of every pooled stack; `max_cached`
-    /// caps how many free stacks are retained before unmapping extras. The
-    /// LWT_STACK_CACHE env var (a stack count) overrides `max_cached` when
-    /// set. Stacks cached beyond the soft watermark (half the cap) are
+    /// caps how many free stacks are retained before unmapping extras;
+    /// Settings::stack_cache (LWT_STACK_CACHE / glt::init) overrides it
+    /// when set. Stacks cached beyond the soft watermark (half the cap) are
     /// decommitted so bulk spawns don't pin peak RSS forever.
     explicit StackPool(std::size_t stack_bytes, std::size_t max_cached = 64);
 
@@ -189,27 +189,13 @@ class StackCache {
     std::vector<Stack> drain_;  // scratch, avoids reallocating per drain
 };
 
-/// Default ULT stack size: LWT_STACKSIZE env var (bytes) or 64 KiB.
-std::size_t default_stack_size() noexcept;
-
-/// Programmatic default for the per-pool free-stack cap, consulted by
-/// StackPool construction when LWT_STACK_CACHE is unset (the env var
-/// always wins — glt::RuntimeOptions plumbing, see topology.hpp).
-/// Applies to pools created after the call; nullopt clears.
-void set_default_stack_cache(std::optional<std::size_t> max_cached);
-
 // --- Hugepage-backed stacks -------------------------------------------------
-
-/// Whether new stacks should ask the kernel for transparent hugepages
-/// (MADV_HUGEPAGE on the usable range). Resolution: LWT_STACK_HUGE env var
-/// ("1"/"0") wins, else the programmatic default, else off. THP only pays
-/// off for stacks of 2 MiB and up (the kernel collapses whole 2 MiB
-/// extents); smaller stacks accept the advice harmlessly.
-[[nodiscard]] bool stack_huge_enabled() noexcept;
-
-/// Programmatic default for stack_huge_enabled() when LWT_STACK_HUGE is
-/// unset (glt::RuntimeOptions::stack_huge); nullopt clears.
-void set_default_stack_huge(std::optional<bool> huge);
+//
+// Settings::stack_huge (LWT_STACK_HUGE / glt::init, read through
+// stack_huge_enabled()) asks the kernel for transparent hugepages on new
+// stacks (MADV_HUGEPAGE on the usable range). THP only pays off for stacks
+// of 2 MiB and up (the kernel collapses whole 2 MiB extents); smaller
+// stacks accept the advice harmlessly.
 
 /// Test hook: force every MADV_HUGEPAGE request to report failure, as on a
 /// kernel with THP disabled. The allocation itself must still succeed —
@@ -230,7 +216,7 @@ void stack_thp_force_failure(bool fail) noexcept;
 // thread-local StackCache in front of one leaked SharedStackPool of
 // default_stack_size() stacks. Creation pops a plain vector; the shared
 // lock is paid once per kBatch refill/drain. Stacks whose size does not
-// match the pool (LWT_STACKSIZE changed mid-process) bypass the pool.
+// match the pool (LWT_STACKSIZE changed between boots) bypass the pool.
 
 /// Pop a pooled default-size stack (mapping fresh ones in batches on miss).
 Stack acquire_default_stack();

@@ -1,15 +1,13 @@
 #include "arch/topology.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <mutex>
 #include <set>
 #include <sstream>
 
 #include "arch/cpu.hpp"
+#include "arch/settings.hpp"
 
 namespace lwt::arch {
 namespace {
@@ -29,75 +27,19 @@ long read_sysfs_long(const std::string& path) {
     return value;
 }
 
-bool ieq(std::string_view a, std::string_view b) {
-    if (a.size() != b.size()) {
-        return false;
-    }
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (std::tolower(static_cast<unsigned char>(a[i])) !=
-            std::tolower(static_cast<unsigned char>(b[i]))) {
-            return false;
-        }
-    }
-    return true;
-}
-
 }  // namespace
-
-namespace {
-
-/// Programmatic defaults behind the env vars; see topology.hpp. Guarded by
-/// a mutex: setters run from init paths, getters from library boots.
-struct ArchDefaults {
-    std::mutex mutex;
-    std::string topology_spec;
-    std::optional<BindPolicy> bind;
-};
-
-ArchDefaults& arch_defaults() {
-    static ArchDefaults d;
-    return d;
-}
-
-}  // namespace
-
-void set_default_topology_spec(std::string spec) {
-    ArchDefaults& d = arch_defaults();
-    std::lock_guard g(d.mutex);
-    d.topology_spec = std::move(spec);
-}
-
-void set_default_bind_policy(std::optional<BindPolicy> policy) {
-    ArchDefaults& d = arch_defaults();
-    std::lock_guard g(d.mutex);
-    d.bind = policy;
-}
 
 BindPolicy resolve_bind_policy(BindPolicy config_fallback) {
-    if (const char* env = std::getenv("LWT_BIND")) {
-        return bind_policy_from_string(env, config_fallback);
-    }
-    ArchDefaults& d = arch_defaults();
-    std::lock_guard g(d.mutex);
-    return d.bind.value_or(config_fallback);
+    return settings().bind.value_or(config_fallback);
 }
 
-BindPolicy bind_policy_from_string(const char* name,
-                                   BindPolicy fallback) noexcept {
-    if (name == nullptr) {
-        return fallback;
+const char* bind_policy_name(BindPolicy policy) noexcept {
+    switch (policy) {
+        case BindPolicy::kNone: return "none";
+        case BindPolicy::kCompact: return "compact";
+        case BindPolicy::kScatter: return "scatter";
     }
-    const std::string_view s(name);
-    if (ieq(s, "none")) {
-        return BindPolicy::kNone;
-    }
-    if (ieq(s, "compact")) {
-        return BindPolicy::kCompact;
-    }
-    if (ieq(s, "scatter")) {
-        return BindPolicy::kScatter;
-    }
-    return fallback;
+    return "?";
 }
 
 Topology::Topology(std::vector<CpuInfo> cpus) : cpus_(std::move(cpus)) {
@@ -178,29 +120,9 @@ std::optional<Topology> Topology::from_spec(std::string_view spec) {
 }
 
 Topology Topology::from_env_or_discover() {
-    if (const char* spec = std::getenv("LWT_TOPOLOGY")) {
-        if (auto topo = from_spec(spec)) {
-            return *std::move(topo);
-        }
-        std::fprintf(stderr,
-                     "[lwt] ignoring malformed LWT_TOPOLOGY=\"%s\" "
-                     "(expected PxCxT, e.g. 2x18x2)\n",
-                     spec);
-    }
-    std::string def;
-    {
-        ArchDefaults& d = arch_defaults();
-        std::lock_guard g(d.mutex);
-        def = d.topology_spec;
-    }
-    if (!def.empty()) {
-        if (auto topo = from_spec(def)) {
-            return *std::move(topo);
-        }
-        std::fprintf(stderr,
-                     "[lwt] ignoring malformed RuntimeOptions topology "
-                     "\"%s\" (expected PxCxT, e.g. 2x18x2)\n",
-                     def.c_str());
+    // Settings only keeps well-formed specs (a malformed one was reported).
+    if (auto topo = from_spec(settings().topology)) {
+        return *std::move(topo);
     }
     return discover();
 }

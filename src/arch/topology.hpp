@@ -30,30 +30,10 @@ enum class BindPolicy {
     kScatter,  ///< round-robin across sockets first (bandwidth spreading)
 };
 
-/// Parse a policy name ("none" | "compact" | "scatter", case-insensitive);
-/// `fallback` on null or anything else. Personalities pass
-/// getenv("LWT_BIND") here so a run can be re-pinned without a rebuild.
-[[nodiscard]] BindPolicy bind_policy_from_string(const char* name,
-                                                 BindPolicy fallback) noexcept;
+[[nodiscard]] const char* bind_policy_name(BindPolicy policy) noexcept;
 
-// --- Programmatic defaults (glt::RuntimeOptions plumbing) -------------------
-//
-// Each knob resolves in the same order everywhere: environment variable if
-// set (a run can always be re-tuned without a rebuild), else the
-// programmatic default installed here (glt::init(RuntimeOptions)), else
-// the built-in/config fallback. Setters take effect for runtimes booted
-// *after* the call; empty / nullopt clears the default.
-
-/// Default topology fixture spec consulted by Topology::from_env_or_discover
-/// when LWT_TOPOLOGY is unset (same "PxCxT" grammar as from_spec).
-void set_default_topology_spec(std::string spec);
-
-/// Default stream-binding policy consulted by resolve_bind_policy when
-/// LWT_BIND is unset.
-void set_default_bind_policy(std::optional<BindPolicy> policy);
-
-/// LWT_BIND if set, else the programmatic default, else `config_fallback`.
-/// What every personality boot calls in place of reading LWT_BIND itself.
+/// LWT_BIND or glt::init's bind when either is set (arch::Settings), else
+/// `config_fallback`. What every personality boot calls to pick its policy.
 [[nodiscard]] BindPolicy resolve_bind_policy(BindPolicy config_fallback);
 
 /// One locality domain: a package (socket) and the CPUs it owns. The
@@ -80,9 +60,9 @@ class Topology {
     /// only and are never applied to real CPUs.
     static std::optional<Topology> from_spec(std::string_view spec);
 
-    /// LWT_TOPOLOGY override (a from_spec() string) when set and valid,
-    /// else discover(). The override is how tests/CI reproduce the paper's
-    /// 2-socket hierarchy on any host.
+    /// The LWT_TOPOLOGY / glt::init topology spec (arch::Settings) when
+    /// one is set, else discover(). The override is how tests/CI reproduce
+    /// the paper's 2-socket hierarchy on any host.
     static Topology from_env_or_discover();
 
     /// Build from an explicit CPU list (tests, synthetic topologies).

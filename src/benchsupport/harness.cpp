@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "arch/cpu.hpp"
+#include "arch/topology.hpp"
 #include "core/metrics.hpp"
 #include "core/sched_stats.hpp"
 
@@ -49,6 +50,11 @@ SweepConfig SweepConfig::from_env() {
     return cfg;
 }
 
+const char* bind_policy_label() {
+    return arch::bind_policy_name(
+        arch::resolve_bind_policy(arch::BindPolicy::kNone));
+}
+
 ResultGrid run_sweep(const SweepConfig& config,
                      const std::vector<Series>& series) {
     ResultGrid grid(series.size());
@@ -66,8 +72,8 @@ void print_figure(const std::string& title, const std::string& unit,
                   const SweepConfig& config, const std::vector<Series>& series,
                   const ResultGrid& grid) {
     std::printf("# %s\n", title.c_str());
-    std::printf("# reps=%zu warmup=%zu unit=%s\n", config.reps, config.warmup,
-                unit.c_str());
+    std::printf("# reps=%zu warmup=%zu unit=%s bind=%s\n", config.reps,
+                config.warmup, unit.c_str(), bind_policy_label());
     std::printf("threads");
     for (const Series& s : series) {
         std::printf(",%s", s.name.c_str());
@@ -151,6 +157,7 @@ bool write_figure_json(const std::string& path, const std::string& figure_id,
     std::fprintf(f, "  \"unit\": \"%s\",\n", json_escape(unit).c_str());
     std::fprintf(f, "  \"reps\": %zu,\n", config.reps);
     std::fprintf(f, "  \"warmup\": %zu,\n", config.warmup);
+    std::fprintf(f, "  \"bind\": \"%s\",\n", bind_policy_label());
     std::fprintf(f, "  \"threads\": [");
     for (std::size_t t = 0; t < config.thread_counts.size(); ++t) {
         std::fprintf(f, "%s%zu", t == 0 ? "" : ", ", config.thread_counts[t]);

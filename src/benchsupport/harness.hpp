@@ -40,13 +40,20 @@ struct Series {
 /// Result grid: result[series][thread_index].
 using ResultGrid = std::vector<std::vector<Summary>>;
 
+/// The stream-binding policy a figure's runtimes boot with: LWT_BIND
+/// (arch::Settings) over the figure runners' Configs, which leave streams
+/// unpinned. Printed in every figure header and JSON dump, so each number
+/// can be traced to its thread placement.
+[[nodiscard]] const char* bind_policy_label();
+
 /// Run a full figure sweep.
 ResultGrid run_sweep(const SweepConfig& config,
                      const std::vector<Series>& series);
 
 /// Print the figure in the layout used throughout EXPERIMENTS.md:
-/// a header block, then one row per thread count with one column per
-/// series (mean, in `unit`), then per-series RSD maxima.
+/// a header block (reps, warmup, unit, bind policy), then one row per
+/// thread count with one column per series (mean, in `unit`), then
+/// per-series RSD maxima.
 void print_figure(const std::string& title, const std::string& unit,
                   const SweepConfig& config, const std::vector<Series>& series,
                   const ResultGrid& grid);
@@ -58,7 +65,7 @@ void run_and_print(const std::string& title, const std::string& unit,
 /// Write one figure's sweep as machine-readable JSON (the `--json` bench
 /// mode; see bench/bench_common.hpp). Layout:
 ///   {"figure": id, "title": ..., "unit": ..., "reps": N, "warmup": N,
-///    "threads": [...],
+///    "bind": "none" | "compact" | "scatter", "threads": [...],
 ///    "series": [{"name": ..., "mean": [...], "min": [...], "max": [...],
 ///                "rsd_percent": [...]}],
 ///    "steal_tiers": {"sibling": {"attempts": N, "hits": N},

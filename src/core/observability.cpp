@@ -2,8 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <mutex>
@@ -11,6 +9,7 @@
 #include <string>
 
 #include "arch/audit.hpp"
+#include "arch/settings.hpp"
 #include "arch/stack.hpp"
 #include "core/metrics.hpp"
 #include "core/trace.hpp"
@@ -23,15 +22,10 @@ namespace {
 struct ObsState {
     std::mutex mutex;
     int refcount = 0;
-    bool armed = false;        // sinks resolved once, at the first attach
-    bool trace_on = false;
+    bool trace_on = false;     // armed by the outermost attach
     bool metrics_on = false;
     std::string trace_path;
     std::string metrics_json_path;
-    // Programmatic fallbacks (observability_set_defaults): used where the
-    // corresponding env var is unset.
-    std::string default_trace;
-    std::string default_metrics;
 };
 
 ObsState& state() {
@@ -39,44 +33,19 @@ ObsState& state() {
     return s;
 }
 
-/// Resolve each sink: env var if set, else the programmatic default.
-/// LWT_METRICS accepts "1"/"true" (table only) or a *.json path (table +
-/// JSON dump). Anything empty/"0" leaves metrics off. Re-arming (a later
-/// attach after observability_set_defaults changed the routes) disables
-/// recorders a previous arm enabled but the new resolution does not.
-void arm(ObsState& s) {
-    const bool was_trace = s.trace_on;
-    const bool was_metrics = s.metrics_on;
-    s.armed = true;
-    s.trace_on = false;
-    s.metrics_on = false;
-    s.trace_path.clear();
-    s.metrics_json_path.clear();
-
-    const char* trace = std::getenv("LWT_TRACE");
-    if (trace == nullptr) {
-        trace = s.default_trace.c_str();
-    }
-    if (*trace != '\0') {
-        s.trace_on = true;
-        s.trace_path = trace;
+/// Enable the recorders `cfg` names; flush() disarms them at the last
+/// detach. With no sink set, recorders enabled by other means
+/// (glt::trace_begin, tests) are left alone.
+void arm(ObsState& s, const arch::Settings& cfg) {
+    s.trace_on = !cfg.trace_path.empty();
+    s.trace_path = cfg.trace_path;
+    if (s.trace_on) {
         Tracer::instance().enable();
-    } else if (was_trace) {
-        Tracer::instance().disable();
     }
-
-    const char* metrics = std::getenv("LWT_METRICS");
-    if (metrics == nullptr) {
-        metrics = s.default_metrics.c_str();
-    }
-    if (*metrics != '\0' && std::strcmp(metrics, "0") != 0) {
-        s.metrics_on = true;
-        if (std::strstr(metrics, ".json") != nullptr) {
-            s.metrics_json_path = metrics;
-        }
+    s.metrics_on = cfg.metrics;
+    s.metrics_json_path = cfg.metrics_json;
+    if (s.metrics_on) {
         Metrics::instance().enable();
-    } else if (was_metrics) {
-        Metrics::instance().disable();
     }
 }
 
@@ -104,14 +73,18 @@ void flush(ObsState& s) {
             std::fprintf(stderr, "lwt: failed to write metrics to %s\n",
                          s.metrics_json_path.c_str());
         }
+        Metrics::instance().disable();
         Metrics::instance().reset();
         MetricsRegistry::instance().reset_values();
     }
     if (s.trace_on) {
-        // Clear last: the next boot/teardown cycle (bench sweeps) records
-        // and flushes afresh.
+        // Clear last: the next boot/teardown cycle (bench sweeps) re-arms,
+        // records and flushes afresh.
+        Tracer::instance().disable();
         Tracer::instance().clear();
     }
+    s.trace_on = false;
+    s.metrics_on = false;
 }
 
 void print_histogram_row(std::ostream& os, const char* label,
@@ -141,12 +114,12 @@ void append_histogram_json(std::string& out, const char* name,
 }  // namespace
 
 ObservabilitySession::ObservabilitySession() {
+    const arch::Settings cfg = arch::load_settings();
     ObsState& s = state();
     std::lock_guard g(s.mutex);
-    if (!s.armed) {
-        arm(s);
+    if (s.refcount++ == 0) {
+        arm(s, cfg);
     }
-    ++s.refcount;
 }
 
 ObservabilitySession::~ObservabilitySession() {
@@ -161,18 +134,6 @@ bool observability_armed() noexcept {
     ObsState& s = state();
     std::lock_guard g(s.mutex);
     return s.trace_on || s.metrics_on;
-}
-
-void observability_set_defaults(std::string trace_path, std::string metrics) {
-    ObsState& s = state();
-    std::lock_guard g(s.mutex);
-    s.default_trace = std::move(trace_path);
-    s.default_metrics = std::move(metrics);
-    if (s.refcount == 0) {
-        // No session attached: let the next attach re-resolve the sinks so
-        // glt::init's routes take effect for the runtime it boots.
-        s.armed = false;
-    }
 }
 
 void print_metrics_report(std::ostream& os) {

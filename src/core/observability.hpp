@@ -1,24 +1,24 @@
 // observability.hpp — env-driven arm/flush of the tracer and metrics.
 //
 // Every runtime object (core::Runtime, the five personality Libraries,
-// momp::Runtime) holds one ObservabilitySession. The FIRST session of the
-// process reads the environment and arms the process-wide recorders; when
-// the LAST session detaches (outermost runtime teardown), the recorded
-// data is flushed. That gives every bench, test, and personality the same
-// switches with zero per-runtime wiring:
+// momp::Runtime) holds one ObservabilitySession as its first member, so
+// constructing the session is where a boot starts: it re-resolves
+// arch::Settings (load_settings). The OUTERMOST session arms the
+// process-wide recorders the settings name; when the LAST session detaches
+// (outermost runtime teardown), the recorded data is flushed and the
+// recorders it armed are disarmed. That gives every bench, test, and
+// personality the same switches with zero per-runtime wiring:
 //
 //   LWT_TRACE=out.json      record unit lifecycles, write a Chrome-trace
 //                           JSON (Perfetto / chrome://tracing) at shutdown
 //   LWT_METRICS=1           record unit-latency histograms; print the
 //                           per-stream table to stderr at shutdown
 //   LWT_METRICS=out.json    same, plus a machine-readable JSON dump
-//   LWT_METRICS_SAMPLE_US=N sample pool queue depths every N us into
-//                           gauges (core::Runtime starts the sampler)
 //
 // Runtimes nest (glt -> personality -> core::Runtime); the refcount makes
 // the flush fire exactly once per quiescent period, after the outermost
-// teardown. Repeated boot/teardown cycles (bench sweeps) re-record and
-// re-flush; the trace file reflects the last cycle.
+// teardown. Repeated boot/teardown cycles (bench sweeps) re-arm, re-record
+// and re-flush; the trace file reflects the last cycle.
 #pragma once
 
 #include <iosfwd>
@@ -34,18 +34,9 @@ class ObservabilitySession {
     ObservabilitySession& operator=(const ObservabilitySession&) = delete;
 };
 
-/// True when LWT_TRACE / LWT_METRICS armed the recorders (set at first
-/// attach; tests use it to verify env parsing).
+/// True while LWT_TRACE / LWT_METRICS (or glt::init's sinks) have the
+/// recorders armed: from the outermost attach to the last detach.
 bool observability_armed() noexcept;
-
-/// Programmatic sink defaults (glt::RuntimeOptions plumbing): `trace_path`
-/// stands in for LWT_TRACE and `metrics` for LWT_METRICS ("1"/"true" =
-/// stderr table, "*.json" = table + JSON dump), but only where the
-/// corresponding env var is unset — env always wins. When no session is
-/// currently attached, the recorders re-arm at the next attach, so calling
-/// this between runtime boots (bench sweeps) re-routes the sinks; empty
-/// strings clear.
-void observability_set_defaults(std::string trace_path, std::string metrics);
 
 /// Render the human-readable metrics report (per-stream latency
 /// histograms, registry counters/gauges, trace event counts) to `os`.

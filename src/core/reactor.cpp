@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "arch/cpu.hpp"
+#include "arch/settings.hpp"
 
 namespace lwt::core {
 
@@ -164,9 +165,6 @@ Reactor::Reactor()
         ev.data.fd = eventfd_;
         ::epoll_ctl(epfd_, EPOLL_CTL_ADD, eventfd_, &ev);
     }
-    if (const char* env = std::getenv("LWT_IO_POLLER")) {
-        poller_enabled_.store(env[0] != '0', std::memory_order_relaxed);
-    }
 }
 
 Reactor::~Reactor() {
@@ -197,13 +195,16 @@ void Reactor::ensure_running() {
     if (running_.load(std::memory_order_acquire)) {
         return;
     }
+    // Settings::io_poller (LWT_IO_POLLER / glt::init) as of the latest
+    // boot. Without the poller, I/O completion rides entirely on idle
+    // execution streams (docs/io_reactor.md has when that degrades).
+    const bool want_poller = arch::settings().io_poller;
     std::lock_guard<sync::Spinlock> g(start_lock_);
     if (!running_.load(std::memory_order_relaxed)) {
         if (this == &global()) {
             s_global_armed.store(true, std::memory_order_release);
         }
-        if (poller_enabled_.load(std::memory_order_relaxed) &&
-            !poller_started_.load(std::memory_order_relaxed)) {
+        if (want_poller && !poller_started_.load(std::memory_order_relaxed)) {
             poller_ = new PollerThread;
             poller_->thread = std::thread([this] { poller_main(); });
             poller_started_.store(true, std::memory_order_relaxed);

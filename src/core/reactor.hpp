@@ -12,7 +12,7 @@
 //
 // Event delivery is two-path, like Go's netpoller:
 //
-//   * a dedicated poller thread (default on; LWT_IO_POLLER=0 disables)
+//   * a dedicated poller thread (default on; LWT_IO_POLLER=off disables)
 //     blocks in epoll_wait sized to the next timer deadline and wakes
 //     parked waiters directly — I/O completes even when every stream is
 //     busy executing CPU work;
@@ -163,14 +163,6 @@ class Reactor {
         return s_global_armed.load(std::memory_order_acquire);
     }
 
-    /// Disable/enable the dedicated poller thread (before the first wait;
-    /// LWT_IO_POLLER=0|1 overrides). Without it, I/O completion rides
-    /// entirely on idle execution streams — see docs/io_reactor.md for
-    /// when that degrades.
-    void set_poller_enabled(bool on) noexcept {
-        poller_enabled_.store(on, std::memory_order_relaxed);
-    }
-
     /// Waiters currently parked on fds (diagnostics/tests).
     [[nodiscard]] std::size_t fd_waiters() const noexcept {
         return fd_waiters_.load(std::memory_order_acquire);
@@ -204,7 +196,6 @@ class Reactor {
     int eventfd_ = -1;
     std::atomic<bool> running_{false};
     std::atomic<bool> stop_{false};
-    std::atomic<bool> poller_enabled_{true};
     std::atomic<bool> poller_started_{false};
     sync::Spinlock start_lock_;
     std::atomic<std::size_t> fd_waiters_{0};

@@ -1,23 +1,11 @@
 #include "core/runtime.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cstdlib>
-#include <string>
 
 #include "arch/cpu.hpp"
+#include "arch/settings.hpp"
 
 namespace lwt::core {
-
-namespace {
-std::atomic<int> g_default_idle_policy{-1};  // -1 = no programmatic default
-}  // namespace
-
-void set_default_idle_policy(std::optional<sync::IdlePolicy> policy) {
-    g_default_idle_policy.store(
-        policy ? static_cast<int>(*policy) : -1, std::memory_order_relaxed);
-}
 
 Runtime::Runtime(std::size_t num_streams, const SchedulerFactory& factory,
                  sync::IdleConfig idle)
@@ -31,13 +19,7 @@ Runtime::Runtime(std::size_t num_streams, const SchedulerFactory& factory,
     if (num_streams == 0) {
         num_streams = 1;
     }
-    if (const char* env = std::getenv("LWT_IDLE_POLICY")) {
-        idle.policy = sync::idle_policy_from_string(env, idle.policy);
-    } else if (const int def =
-                   g_default_idle_policy.load(std::memory_order_relaxed);
-               def >= 0) {
-        idle.policy = static_cast<sync::IdlePolicy>(def);
-    }
+    idle.policy = arch::settings().idle.value_or(idle.policy);
     streams_.reserve(num_streams);
     for (std::size_t i = 0; i < num_streams; ++i) {
         streams_.push_back(std::make_unique<XStream>(
@@ -90,23 +72,9 @@ Runtime::Runtime(std::size_t num_streams, const SchedulerFactory& factory,
     for (std::size_t i = 1; i < num_streams; ++i) {
         streams_[i]->start();
     }
-    // Optional queue-depth sampling (LWT_METRICS_SAMPLE_US=N): one gauge
-    // per wired pool, updated every N microseconds by a background thread.
-    if (const char* env = std::getenv("LWT_METRICS_SAMPLE_US")) {
-        const long us = std::atol(env);
-        if (us > 0) {
-            for (std::size_t i = 0; i < wired_pools_.size(); ++i) {
-                Pool* pool = wired_pools_[i];
-                sampler_.add_source("pool" + std::to_string(i) + ".depth",
-                                    [pool] { return pool->size_hint(); });
-            }
-            sampler_.start(std::chrono::microseconds(us));
-        }
-    }
 }
 
 Runtime::~Runtime() {
-    sampler_.stop();  // before the pools' queues quiesce/detach
     for (std::size_t i = 1; i < streams_.size(); ++i) {
         streams_[i]->stop_and_join();
     }
@@ -124,20 +92,12 @@ Runtime::~Runtime() {
     }
 }
 
-std::size_t Runtime::resolve_stream_count(std::size_t requested,
-                                          const char* env_var) {
+std::size_t Runtime::resolve_stream_count(std::size_t requested) {
     if (requested != 0) {
         return requested;
     }
-    if (env_var != nullptr) {
-        if (const char* env = std::getenv(env_var)) {
-            const long v = std::atol(env);
-            if (v > 0) {
-                return static_cast<std::size_t>(v);
-            }
-        }
-    }
-    return arch::hardware_threads();
+    const std::size_t configured = arch::settings().num_streams;
+    return configured != 0 ? configured : arch::hardware_threads();
 }
 
 }  // namespace lwt::core

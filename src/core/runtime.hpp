@@ -12,7 +12,6 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/metrics.hpp"
@@ -24,12 +23,6 @@
 
 namespace lwt::core {
 
-/// Programmatic default for the streams' idle policy, consulted by Runtime
-/// construction when LWT_IDLE_POLICY is unset (the env var always wins —
-/// glt::RuntimeOptions plumbing, see arch/topology.hpp). Applies to
-/// runtimes booted after the call; nullopt clears.
-void set_default_idle_policy(std::optional<sync::IdlePolicy> policy);
-
 class Runtime {
   public:
     /// Builds the scheduler for stream `rank` (0 = primary).
@@ -40,10 +33,10 @@ class Runtime {
     /// threads; stream 0 adopts the calling thread.
     ///
     /// `idle` selects the streams' idle ladder (spin/backoff/park; see
-    /// docs/idle_loop.md); LWT_IDLE_POLICY=spin|backoff|park overrides the
-    /// policy field. The runtime owns a ParkingLot and attaches it as the
-    /// waker of every pool reachable through the schedulers, so kPark
-    /// works out of the box.
+    /// docs/idle_loop.md); Settings::idle (LWT_IDLE_POLICY / glt::init)
+    /// overrides the policy field. The runtime owns a ParkingLot and
+    /// attaches it as the waker of every pool reachable through the
+    /// schedulers, so kPark works out of the box.
     Runtime(std::size_t num_streams, const SchedulerFactory& factory,
             sync::IdleConfig idle = {});
 
@@ -65,10 +58,10 @@ class Runtime {
     [[nodiscard]] XStream& stream(std::size_t i) noexcept { return *streams_[i]; }
     [[nodiscard]] XStream& primary() noexcept { return *streams_.front(); }
 
-    /// Resolve a stream count request: explicit value, else the env var
-    /// (e.g. "LWT_NUM_STREAMS"), else the hardware thread count.
-    static std::size_t resolve_stream_count(std::size_t requested,
-                                            const char* env_var);
+    /// Resolve a stream count request: explicit value, else
+    /// Settings::num_streams (LWT_NUM_STREAMS), else the hardware thread
+    /// count.
+    static std::size_t resolve_stream_count(std::size_t requested);
 
     /// The lot idle streams park on; pools created outside the schedulers
     /// can be wired to it with Pool::set_waker.
@@ -118,7 +111,6 @@ class Runtime {
     arch::LocalityMap locality_;  // before streams_: bind hooks reference it
     std::vector<std::unique_ptr<XStream>> streams_;
     std::vector<Pool*> wired_pools_;
-    QueueDepthSampler sampler_;
 };
 
 }  // namespace lwt::core

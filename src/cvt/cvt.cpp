@@ -38,8 +38,7 @@ void CthHandle::join() {
 // --- Library --------------------------------------------------------------------
 
 Library::Library(Config config) : config_(config) {
-    const std::size_t n =
-        core::Runtime::resolve_stream_count(config_.num_pes, "LWT_NUM_PES");
+    const std::size_t n = core::Runtime::resolve_stream_count(config_.num_pes);
     config_.num_pes = n;
     const arch::BindPolicy bind = arch::resolve_bind_policy(config_.bind);
     locality_ = arch::LocalityMap(arch::Topology::from_env_or_discover(),

@@ -31,7 +31,8 @@
 namespace lwt::cvt {
 
 struct Config {
-    /// Number of processors (PEs); 0 resolves via LWT_NUM_PES then hardware.
+    /// Number of processors (PEs); 0 resolves via LWT_NUM_STREAMS then
+    /// hardware.
     std::size_t num_pes = 0;
     /// PE pinning (LWT_BIND overrides). Converse has no shared queues, so
     /// locality only affects which PEs domain-targeted sends pick.

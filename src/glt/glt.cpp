@@ -2,16 +2,15 @@
 
 #include <atomic>
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
-#include "arch/stack.hpp"
+#include "arch/settings.hpp"
 #include "core/channel.hpp"
-#include "core/observability.hpp"
 #include "obs/introspect.hpp"
-#include "core/reactor.hpp"
 #include "core/runtime.hpp"
 #include "core/sync_ult.hpp"
 #include "core/trace_export.hpp"
@@ -612,32 +611,29 @@ RuntimeOptions RuntimeOptions::from_env() {
     }
     // Only GLT_NUM_WORKERS is honoured; the legacy GLT_WORKERS alias was
     // dropped in v2.
+    // Whole-string decimal, as for the LWT_* numbers (strtoul would wrap
+    // "-1" to a huge worker count).
     if (const char* count = std::getenv("GLT_NUM_WORKERS")) {
-        char* end = nullptr;
-        const unsigned long parsed = std::strtoul(count, &end, 10);
-        if (end != count && *end == '\0') {
-            opts.workers = static_cast<std::size_t>(parsed);
+        const std::string_view v(count);
+        std::size_t parsed = 0;
+        const auto [end, ec] =
+            std::from_chars(v.data(), v.data() + v.size(), parsed);
+        if (ec == std::errc{} && end == v.data() + v.size()) {
+            opts.workers = parsed;
         }
     }
     return opts;
 }
 
 std::unique_ptr<Runtime> init(const RuntimeOptions& opts) {
-    // Install the programmatic defaults BEFORE creating the backend: the
-    // personalities read them during boot (topology discovery, stack pool
-    // sizing, idle-ladder selection). Each subsystem defers to its env var
-    // when set; empty/nullopt fields clear a default a previous init()
-    // installed, so successive boots see exactly these options.
-    arch::set_default_topology_spec(opts.topology);
-    arch::set_default_bind_policy(opts.bind);
-    arch::set_default_stack_cache(opts.stack_cache);
-    arch::set_default_stack_huge(opts.stack_huge);
-    core::set_default_idle_policy(opts.idle);
-    core::observability_set_defaults(opts.trace_sink, opts.metrics_sink);
-    obs::set_introspect_defaults(opts.introspect_addr, opts.watchdog_ms);
-    if (opts.io_poller && std::getenv("LWT_IO_POLLER") == nullptr) {
-        core::Reactor::global().set_poller_enabled(*opts.io_poller);
-    }
+    // Install the defaults BEFORE creating the backend: its boot resolves
+    // arch::Settings (env, then these, then the built-ins). Empty/nullopt
+    // fields clear what a previous init() installed, so successive boots
+    // see exactly these options.
+    arch::set_defaults({opts.topology, opts.bind, opts.idle, opts.stack_cache,
+                        opts.stack_huge, opts.trace_sink, opts.metrics_sink,
+                        opts.io_poller, opts.introspect_addr,
+                        opts.watchdog_ms});
     return Runtime::create(opts.backend, opts.workers);
 }
 

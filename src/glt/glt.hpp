@@ -193,10 +193,11 @@ class Runtime;
 
 /// Programmatic runtime configuration — the one place the LWT_* / GLT_*
 /// environment knobs appear as typed fields (docs/api.md has the full
-/// table). Every field follows the same contract: the matching environment
-/// variable, when set, ALWAYS wins over the programmatic value, so an
-/// operator can re-route a deployed binary without a rebuild; the
-/// programmatic value replaces only the built-in default.
+/// table). Every field follows the same contract (arch::Settings): the
+/// matching environment variable, when set and well-formed, ALWAYS wins
+/// over the programmatic value, so an operator can re-route a deployed
+/// binary without a rebuild; the programmatic value replaces only the
+/// built-in default.
 ///
 ///   RuntimeOptions opts;
 ///   opts.backend = Backend::kGol;
@@ -241,17 +242,18 @@ struct RuntimeOptions {
 
     /// Backend + worker count from GLT_BACKEND / GLT_NUM_WORKERS (the two
     /// knobs without a programmatic-default channel of their own); all
-    /// other fields stay at their defaults — the LWT_* variables reach the
-    /// subsystems directly whether or not they pass through here.
+    /// other fields stay at their defaults — arch::Settings reads the
+    /// LWT_* variables at every boot whether or not they pass through here.
     [[nodiscard]] static RuntimeOptions from_env();
 };
 
-/// Boot a runtime from RuntimeOptions: installs the programmatic defaults
-/// into the subsystems (topology, binding, stacks, idle ladder,
-/// observability sinks, reactor poller) — each deferring to its
-/// environment variable when set — then creates the backend. The defaults
-/// are process-wide and persist for later runtimes too (they are defaults,
-/// not per-instance state); call again to change them.
+/// Boot a runtime from RuntimeOptions: installs the LWT_* fields as the
+/// programmatic defaults of arch::Settings (topology, binding, stacks,
+/// idle ladder, observability sinks, reactor poller, introspection) — each
+/// deferring to its environment variable when set — then creates the
+/// backend. The defaults are process-wide and persist for later runtimes
+/// too (they are defaults, not per-instance state); the next init()
+/// replaces all of them.
 std::unique_ptr<Runtime> init(const RuntimeOptions& opts = {});
 
 /// Runtime-dispatch GLT instance: Table II's six rows as virtual calls,

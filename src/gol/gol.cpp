@@ -7,8 +7,8 @@
 namespace lwt::gol {
 
 Library::Library(Config config) : config_(config) {
-    const std::size_t n = core::Runtime::resolve_stream_count(
-        config_.num_threads, "LWT_NUM_THREADS");
+    const std::size_t n =
+        core::Runtime::resolve_stream_count(config_.num_threads);
     config_.num_threads = n;
     // One global queue, no locality routing: a single depot domain.
     core::unit_cache_configure_domains(1);

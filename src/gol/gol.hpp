@@ -58,7 +58,7 @@ inline ::lwt::io::Result<Conn> dial(std::uint16_t port,
 }
 
 struct Config {
-    /// Scheduler thread count (GOMAXPROCS); 0 resolves via LWT_NUM_THREADS
+    /// Scheduler thread count (GOMAXPROCS); 0 resolves via LWT_NUM_STREAMS
     /// then hardware.
     std::size_t num_threads = 0;
 };

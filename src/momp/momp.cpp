@@ -179,8 +179,8 @@ class Runtime::PersistentTeam {
 // --- Runtime ------------------------------------------------------------------------
 
 Runtime::Runtime(Config config) : config_(config) {
-    config_.num_threads = core::Runtime::resolve_stream_count(
-        config_.num_threads, "LWT_OMP_NUM_THREADS");
+    config_.num_threads =
+        core::Runtime::resolve_stream_count(config_.num_threads);
     introspect_.emplace();
 }
 

@@ -42,7 +42,7 @@ enum class WaitPolicy {
 
 struct Config {
     Flavor flavor = Flavor::kGcc;
-    /// Team size (OMP_NUM_THREADS); 0 resolves via LWT_OMP_NUM_THREADS then
+    /// Team size (OMP_NUM_THREADS); 0 resolves via LWT_NUM_STREAMS then
     /// hardware.
     std::size_t num_threads = 0;
     WaitPolicy wait_policy = WaitPolicy::kActive;

@@ -39,8 +39,8 @@ void ThreadHandle::join() {
 // --- Library -------------------------------------------------------------------
 
 Library::Library(Config config) : config_(config) {
-    const std::size_t n = core::Runtime::resolve_stream_count(
-        config_.num_workers, "LWT_NUM_WORKERS");
+    const std::size_t n =
+        core::Runtime::resolve_stream_count(config_.num_workers);
     config_.num_workers = n;
     const arch::BindPolicy bind = arch::resolve_bind_policy(config_.bind);
     locality_ = arch::LocalityMap(arch::Topology::from_env_or_discover(),

@@ -37,7 +37,7 @@ enum class Policy {
 };
 
 struct Config {
-    /// Number of workers; 0 resolves via LWT_NUM_WORKERS then hardware.
+    /// Number of workers; 0 resolves via LWT_NUM_STREAMS then hardware.
     std::size_t num_workers = 0;
     Policy policy = Policy::kWorkFirst;
     /// Worker pinning (LWT_BIND overrides). Whatever the policy, the

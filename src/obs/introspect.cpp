@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "arch/settings.hpp"
 #include "core/metrics.hpp"
 #include "core/metrics_text.hpp"
 #include "core/scheduler.hpp"
@@ -469,8 +470,6 @@ namespace {
 struct IntroState {
     std::mutex mutex;
     int refcount = 0;
-    std::string default_addr;
-    std::optional<std::uint32_t> default_watchdog_ms;
     // Resolved at each first attach:
     std::optional<std::uint16_t> port;
     std::uint32_t watchdog_ms = 0;
@@ -486,15 +485,11 @@ IntroState& intro_state() {
 std::atomic<Watchdog*> g_watchdog{nullptr};
 
 void resolve_config(IntroState& st) {
-    const char* env = std::getenv("LWT_INTROSPECT");
-    const std::string addr = env != nullptr ? env : st.default_addr;
-    st.port = addr.empty() ? std::nullopt : parse_introspect_addr(addr);
-
-    st.watchdog_ms = st.default_watchdog_ms.value_or(0);
-    if (const char* wd = std::getenv("LWT_WATCHDOG_MS")) {
-        const long ms = std::atol(wd);
-        st.watchdog_ms = ms > 0 ? static_cast<std::uint32_t>(ms) : 0;
-    }
+    const arch::Settings cfg = arch::settings();
+    st.port = cfg.introspect_addr.empty()
+                  ? std::nullopt
+                  : parse_introspect_addr(cfg.introspect_addr);
+    st.watchdog_ms = cfg.watchdog_ms;
 }
 
 }  // namespace
@@ -542,14 +537,6 @@ IntrospectSession::~IntrospectSession() {
         g_watchdog.store(nullptr, std::memory_order_release);
         st.watchdog.reset();
     }
-}
-
-void set_introspect_defaults(std::string addr,
-                             std::optional<std::uint32_t> watchdog_ms) {
-    IntroState& st = intro_state();
-    std::lock_guard guard(st.mutex);
-    st.default_addr = std::move(addr);
-    st.default_watchdog_ms = watchdog_ms;
 }
 
 std::string introspect_bound_addr() {

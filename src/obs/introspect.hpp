@@ -21,8 +21,8 @@
 // endpoints expose internals and must never face a network.
 //
 // The companion stall watchdog (watchdog.hpp) is armed independently via
-// LWT_WATCHDOG_MS=N. Both resolve programmatic defaults from
-// glt::RuntimeOptions through set_introspect_defaults(); env always wins.
+// LWT_WATCHDOG_MS=N. Both are arch::Settings values, so glt::init's
+// introspect_addr / watchdog_ms stand in when the variables are unset.
 #pragma once
 
 #include <cstdint>
@@ -70,9 +70,10 @@ class IntrospectServer {
 };
 
 /// Refcounted RAII handle, one per runtime object (mirrors
-/// core::ObservabilitySession): the first live session resolves
-/// LWT_INTROSPECT / LWT_WATCHDOG_MS (falling back to the programmatic
-/// defaults) and starts the process-wide server + watchdog; the last
+/// core::ObservabilitySession): the first live session reads
+/// LWT_INTROSPECT / LWT_WATCHDOG_MS from arch::Settings (resolved when
+/// the runtime's boot began) and starts the process-wide server +
+/// watchdog; the last
 /// detach stops them. Personalities engage it at the END of library
 /// construction (streams must exist to host the acceptor) and reset it at
 /// the TOP of destruction (handlers drain while streams still run); when
@@ -85,13 +86,6 @@ class IntrospectSession {
     IntrospectSession(const IntrospectSession&) = delete;
     IntrospectSession& operator=(const IntrospectSession&) = delete;
 };
-
-/// Programmatic defaults (glt::RuntimeOptions plumbing): `addr` stands in
-/// for LWT_INTROSPECT and `watchdog_ms` for LWT_WATCHDOG_MS, but only
-/// where the corresponding env var is unset — env always wins. Takes
-/// effect at the next first-session attach; empty/nullopt clears.
-void set_introspect_defaults(std::string addr,
-                             std::optional<std::uint32_t> watchdog_ms);
 
 /// Address the session-managed server is serving on ("127.0.0.1:PORT"),
 /// or "" when introspection is off.

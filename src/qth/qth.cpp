@@ -20,11 +20,10 @@ double Sinc::wait() {
 }
 
 Library::Library(Config config) : config_(config) {
-    config_.num_shepherds = core::Runtime::resolve_stream_count(
-        config_.num_shepherds, "LWT_NUM_SHEPHERDS");
+    config_.num_shepherds =
+        core::Runtime::resolve_stream_count(config_.num_shepherds);
     if (config_.workers_per_shepherd == 0) {
-        config_.workers_per_shepherd = core::Runtime::resolve_stream_count(
-            1, "LWT_NUM_WORKERS_PER_SHEPHERD");
+        config_.workers_per_shepherd = 1;
     }
     pools_.reserve(config_.num_shepherds);
     for (std::size_t s = 0; s < config_.num_shepherds; ++s) {

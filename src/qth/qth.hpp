@@ -37,11 +37,10 @@ namespace lwt::qth {
 using aligned_t = sync::aligned_t;
 
 struct Config {
-    /// Number of shepherds (queues). 0 resolves via LWT_NUM_SHEPHERDS, then
+    /// Number of shepherds (queues). 0 resolves via LWT_NUM_STREAMS, then
     /// the hardware thread count.
     std::size_t num_shepherds = 0;
-    /// Workers (OS threads) per shepherd. 0 resolves via
-    /// LWT_NUM_WORKERS_PER_SHEPHERD, then 1.
+    /// Workers (OS threads) per shepherd. 0 means 1.
     std::size_t workers_per_shepherd = 0;
     /// Bind workers to CPUs (Qthreads binds shepherds/workers to hardware;
     /// §III-D). kCompact fills cores in order, kScatter spreads sockets.

@@ -13,20 +13,18 @@
 
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <thread>
 
 #include "arch/cpu.hpp"
+#include "arch/settings.hpp"
 #include "sync/parking_lot.hpp"
 
 namespace lwt::sync {
 
-/// How an idle consumer waits for work.
-enum class IdlePolicy : std::uint8_t {
-    kSpin,     ///< relax+yield every iteration (the pre-backoff behaviour)
-    kBackoff,  ///< bounded spin, then yields with exponential pause trains
-    kPark,     ///< backoff first, then block on a ParkingLot
-};
+/// How an idle consumer waits for work (defined in arch, where
+/// arch::Settings resolves LWT_IDLE_POLICY).
+using IdlePolicy = arch::IdlePolicy;
+using arch::idle_policy_name;
 
 struct IdleConfig {
     IdlePolicy policy = IdlePolicy::kBackoff;
@@ -38,34 +36,6 @@ struct IdleConfig {
     /// lot (e.g. pushes into a pool with no waker attached).
     std::chrono::microseconds park_timeout{1000};
 };
-
-/// Parse "spin" / "backoff" / "park" (e.g. from LWT_IDLE_POLICY); falls
-/// back to `fallback` on anything else.
-inline IdlePolicy idle_policy_from_string(const char* s,
-                                          IdlePolicy fallback) noexcept {
-    if (s == nullptr) {
-        return fallback;
-    }
-    if (std::strcmp(s, "spin") == 0) {
-        return IdlePolicy::kSpin;
-    }
-    if (std::strcmp(s, "backoff") == 0) {
-        return IdlePolicy::kBackoff;
-    }
-    if (std::strcmp(s, "park") == 0) {
-        return IdlePolicy::kPark;
-    }
-    return fallback;
-}
-
-inline const char* idle_policy_name(IdlePolicy p) noexcept {
-    switch (p) {
-        case IdlePolicy::kSpin: return "spin";
-        case IdlePolicy::kBackoff: return "backoff";
-        case IdlePolicy::kPark: return "park";
-    }
-    return "?";
-}
 
 /// Run up to `pauses` cpu_relax()es, ending early once `lot`'s epoch has
 /// left `seen` or `done()` holds. `seen` must be read before the caller

@@ -257,19 +257,6 @@ TEST(StackTest, ThpDenialFallsBackGracefully) {
     std::memset(static_cast<char*>(s.top()) - 1024, 0x5a, 1024);
 }
 
-TEST(StackTest, HugeDefaultResolution) {
-    // Env unset in the test binary: the programmatic default decides.
-    if (std::getenv("LWT_STACK_HUGE") != nullptr) {
-        GTEST_SKIP() << "LWT_STACK_HUGE set in the environment";
-    }
-    arch::set_default_stack_huge(true);
-    EXPECT_TRUE(arch::stack_huge_enabled());
-    arch::set_default_stack_huge(false);
-    EXPECT_FALSE(arch::stack_huge_enabled());
-    arch::set_default_stack_huge(std::nullopt);
-    EXPECT_FALSE(arch::stack_huge_enabled());  // cleared -> off
-}
-
 // --- stack pools --------------------------------------------------------------
 
 TEST(StackTest, StackPoolCapsAndDecommits) {

@@ -289,15 +289,6 @@ TEST(UnitCache, RecyclesDescriptorsAcrossRounds) {
     EXPECT_GT(lwt::core::unit_cache_hits(), hits_before);
 }
 
-TEST(StackCache, EnvOverridesMaxCached) {
-    ::setenv("LWT_STACK_CACHE", "3", 1);
-    lwt::arch::StackPool pool(1 << 16);
-    EXPECT_EQ(pool.max_cached(), 3u);
-    ::unsetenv("LWT_STACK_CACHE");
-    lwt::arch::StackPool defaulted(1 << 16, 64);
-    EXPECT_EQ(defaulted.max_cached(), 64u);
-}
-
 TEST(StackCache, BatchRefillAndDrainRoundTrip) {
     lwt::arch::SharedStackPool shared(1 << 16, 64);
     {

@@ -643,14 +643,6 @@ TEST(RuntimeTest, BootsAndStopsStreams) {
     EXPECT_EQ(XStream::current(), nullptr);
 }
 
-TEST(RuntimeTest, ResolveStreamCountPrecedence) {
-    EXPECT_EQ(Runtime::resolve_stream_count(5, "LWT_TEST_NOT_SET"), 5u);
-    ::setenv("LWT_TEST_STREAMS", "7", 1);
-    EXPECT_EQ(Runtime::resolve_stream_count(0, "LWT_TEST_STREAMS"), 7u);
-    ::unsetenv("LWT_TEST_STREAMS");
-    EXPECT_GE(Runtime::resolve_stream_count(0, "LWT_TEST_STREAMS"), 1u);
-}
-
 // --- property sweep: units created == units executed, across pool types ---------
 
 class ConservationTest

@@ -334,6 +334,15 @@ TEST(GltRuntimeOptions, FromEnvReadsBackendAndWorkers) {
     ::unsetenv("GLT_NUM_WORKERS");
 }
 
+TEST(GltRuntimeOptions, FromEnvIgnoresMalformedWorkerCounts) {
+    // Only a whole decimal counts; "-1" must not wrap to a huge count.
+    for (const char* bad : {"-1", "3x", " 3", ""}) {
+        ::setenv("GLT_NUM_WORKERS", bad, 1);
+        EXPECT_EQ(lwt::glt::RuntimeOptions::from_env().workers, 0u) << bad;
+    }
+    ::unsetenv("GLT_NUM_WORKERS");
+}
+
 TEST(GltEnv, CreateFromEnvHonoursVariables) {
     ::setenv("GLT_BACKEND", "gol", 1);
     ::setenv("GLT_NUM_WORKERS", "2", 1);

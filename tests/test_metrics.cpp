@@ -3,11 +3,10 @@
 // session.
 //
 // NOTE: the recorders (Tracer, Metrics, MetricsRegistry) and the
-// observability arming flag are process-global. The ObservabilitySession
-// env test MUST run first in this binary: arming reads the environment
-// exactly once per process, at the first-ever session attach. It is
-// declared first and gtest runs tests in declaration order (no shuffle in
-// CI).
+// observability arming state are process-global. The ObservabilitySession
+// env test runs first in this binary (gtest runs tests in declaration
+// order; no shuffle in CI) so no other test's recorders are live when its
+// outermost session arms and flushes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,6 +20,7 @@
 
 #include "arch/cpu.hpp"
 #include "core/metrics.hpp"
+#include "core/metrics_text.hpp"
 #include "core/observability.hpp"
 #include "core/pool.hpp"
 #include "core/runtime.hpp"
@@ -77,12 +77,12 @@ TEST(ObservabilitySessionTest, EnvArmsRecordersAndFlushWritesTrace) {
     std::fclose(mj);
     ::unsetenv("LWT_TRACE");
     ::unsetenv("LWT_METRICS");
-    // The recorders stay enabled for the process (arming is once); quiesce
-    // them so the remaining tests start from a clean slate.
-    Tracer::instance().disable();
-    Tracer::instance().clear();
-    Metrics::instance().disable();
-    Metrics::instance().reset();
+    // The flush disarmed what the session armed: the remaining tests start
+    // from a clean slate, and the next outermost attach re-arms from the
+    // settings then in force.
+    EXPECT_FALSE(observability_armed());
+    EXPECT_FALSE(Tracer::instance().enabled());
+    EXPECT_FALSE(Metrics::instance().enabled());
 }
 
 // --- histogram buckets -------------------------------------------------------
@@ -357,31 +357,41 @@ TEST(MetricsRecordingTest, WakeLatencyIsRecordedOnBlockWakePairs) {
     metrics.reset();
 }
 
-// --- queue-depth sampler -----------------------------------------------------
+// --- live pool depth on /metrics ---------------------------------------------
 
-TEST(QueueDepthSamplerTest, SamplesSourcesIntoGauges) {
-    QueueDepthSampler sampler;
-    std::atomic<std::size_t> depth{5};
-    sampler.add_source("test.sampler.depth",
-                       [&] { return depth.load(std::memory_order_relaxed); });
-    sampler.start(std::chrono::microseconds(200));
-    EXPECT_TRUE(sampler.running());
-    Gauge& gauge = MetricsRegistry::instance().gauge("test.sampler.depth");
-    for (int spin = 0; spin < 2000 && gauge.samples() < 3; ++spin) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    depth.store(9);
-    const std::uint64_t before = gauge.samples();
-    for (int spin = 0; spin < 2000 && gauge.samples() == before; ++spin) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    sampler.stop();
-    EXPECT_FALSE(sampler.running());
-    EXPECT_GE(gauge.samples(), 3u);
-    EXPECT_EQ(gauge.value(), 9);
-    EXPECT_EQ(gauge.max(), 9);
-    sampler.stop();  // idempotent
-    MetricsRegistry::instance().reset_values();
+TEST(MetricsTextTest, StreamPoolDepthIsLive) {
+    // The /metrics exposition samples every live stream's pools at scrape
+    // time: queued-but-unrun units show up as lwt_stream_pool_depth.
+    DequePool pool;
+    Runtime rt(1, [&](unsigned) {
+        return std::make_unique<Scheduler>(std::vector<Pool*>{&pool});
+    });
+    const auto depth_line = [] {
+        std::ostringstream os;
+        write_prometheus_text(os);
+        const std::string text = os.str();
+        const std::string key =
+            "lwt_stream_pool_depth{stream=\"0\",rank=\"0\"} ";
+        const std::size_t at = text.find(key);
+        return at == std::string::npos
+                   ? std::string("missing")
+                   : text.substr(at + key.size(),
+                                 text.find('\n', at) - at - key.size());
+    };
+    std::atomic<int> ran{0};
+    const auto push = [&](int n) {
+        for (int i = 0; i < n; ++i) {
+            auto* t = new Tasklet([&] { ran.fetch_add(1); });
+            t->detached = true;
+            pool.push(t);
+        }
+    };
+    push(5);
+    EXPECT_EQ(depth_line(), "5");
+    push(4);
+    EXPECT_EQ(depth_line(), "9");
+    rt.primary().run_until([&] { return ran.load() == 9; });
+    EXPECT_EQ(depth_line(), "0");
 }
 
 // --- Runtime::reset_stats ----------------------------------------------------
@@ -464,19 +474,13 @@ TEST(RuntimeResetStatsTest, PostResetRegistrySnapshotIsEmpty) {
 
 // --- concurrency stress (run under TSan via tools/tsan.sh) -------------------
 
-TEST(MetricsStressTest, ConcurrentWritersSnapshotsAndSampler) {
+TEST(MetricsStressTest, ConcurrentWritersAndSnapshots) {
     auto& tracer = Tracer::instance();
     auto& metrics = Metrics::instance();
     tracer.clear();
     metrics.reset();
     tracer.enable();
     metrics.enable();
-
-    QueueDepthSampler sampler;
-    std::atomic<std::size_t> depth{0};
-    sampler.add_source("test.stress.depth",
-                       [&] { return depth.load(std::memory_order_relaxed); });
-    sampler.start(std::chrono::microseconds(100));
 
     std::atomic<bool> stop{false};
     std::vector<std::thread> writers;
@@ -487,7 +491,6 @@ TEST(MetricsStressTest, ConcurrentWritersSnapshotsAndSampler) {
                 tracer.record(TraceEvent::kYield, &v);
                 metrics.record_exec(++v);
                 metrics.record_queue_dwell(v);
-                depth.fetch_add(1, std::memory_order_relaxed);
             }
         });
     }
@@ -508,7 +511,6 @@ TEST(MetricsStressTest, ConcurrentWritersSnapshotsAndSampler) {
         t.join();
     }
     reader.join();
-    sampler.stop();
     tracer.disable();
     metrics.disable();
     tracer.clear();

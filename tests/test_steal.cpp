@@ -327,21 +327,6 @@ TEST(IdleBackoff, PauseTrainStopsOnEpochBeforeAnyPause) {
     EXPECT_FALSE(lwt::sync::pause_train(64, nullptr, 0, [] { return false; }));
 }
 
-TEST(IdlePolicy, ParsesFromStrings) {
-    using lwt::sync::IdlePolicy;
-    using lwt::sync::idle_policy_from_string;
-    EXPECT_EQ(idle_policy_from_string("spin", IdlePolicy::kPark),
-              IdlePolicy::kSpin);
-    EXPECT_EQ(idle_policy_from_string("backoff", IdlePolicy::kSpin),
-              IdlePolicy::kBackoff);
-    EXPECT_EQ(idle_policy_from_string("park", IdlePolicy::kSpin),
-              IdlePolicy::kPark);
-    EXPECT_EQ(idle_policy_from_string(nullptr, IdlePolicy::kBackoff),
-              IdlePolicy::kBackoff);
-    EXPECT_EQ(idle_policy_from_string("bogus", IdlePolicy::kBackoff),
-              IdlePolicy::kBackoff);
-}
-
 // --- pools wake parked streams ----------------------------------------------
 
 TEST(Pool, PushNotifiesAttachedWaker) {

@@ -7,6 +7,7 @@
 #include <set>
 
 #include "arch/locality.hpp"
+#include "arch/settings.hpp"
 #include "arch/topology.hpp"
 
 namespace {
@@ -147,21 +148,27 @@ TEST(TopologySpec, RejectsMalformedSpecs) {
     }
 }
 
+// Settings are resolved at runtime boot; with no runtime here, the tests
+// re-resolve them by hand after changing the environment.
 TEST(TopologySpec, EnvOverrideWinsWhenValid) {
     ::setenv("LWT_TOPOLOGY", "2x2x1", 1);
+    lwt::arch::load_settings();
     const Topology topo = Topology::from_env_or_discover();
     EXPECT_EQ(topo.num_cpus(), 4u);
     EXPECT_EQ(topo.num_packages(), 2u);
     EXPECT_TRUE(topo.synthetic());
     ::unsetenv("LWT_TOPOLOGY");
+    lwt::arch::load_settings();
 }
 
 TEST(TopologySpec, EnvOverrideInvalidFallsBackToDiscovery) {
     ::setenv("LWT_TOPOLOGY", "not-a-spec", 1);
+    lwt::arch::load_settings();
     const Topology topo = Topology::from_env_or_discover();
     EXPECT_FALSE(topo.synthetic());
     EXPECT_GE(topo.num_cpus(), 1u);
     ::unsetenv("LWT_TOPOLOGY");
+    lwt::arch::load_settings();
 }
 
 TEST(TopologySpec, DomainsListPackagesAscending) {
