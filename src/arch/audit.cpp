@@ -38,7 +38,7 @@ Shard& shard_for_this_thread() {
 }
 
 bool enabled_slow() noexcept {
-    (void)settings();  // the first load publishes Settings::create_audit
+    ensure_settings_loaded();  // publishes Settings::create_audit
     return cached_flag().load(std::memory_order_relaxed) > 0;
 }
 

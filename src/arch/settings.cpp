@@ -104,8 +104,18 @@ std::optional<std::pair<bool, std::string>> parse_metrics(std::string_view v) {
     return std::nullopt;
 }
 
-std::optional<std::string> parse_text(std::string_view v) {
-    return std::string(v);
+/// "127.0.0.1:PORT" | "localhost:PORT" | ":PORT" | "PORT" -> PORT. Any
+/// other host is malformed: the endpoints expose runtime internals and
+/// io::Listener only binds loopback anyway.
+std::optional<std::uint16_t> parse_introspect(std::string_view v) {
+    if (const auto colon = v.rfind(':'); colon != std::string_view::npos) {
+        const std::string_view host = v.substr(0, colon);
+        if (!host.empty() && host != "127.0.0.1" && !ieq(host, "localhost")) {
+            return std::nullopt;
+        }
+        v = v.substr(colon + 1);
+    }
+    return parse_number<std::uint16_t>(0)(v);
 }
 
 // --- resolution -------------------------------------------------------------
@@ -146,6 +156,7 @@ void overlay(Store& st, T& field, const char* name, const char* raw,
 }
 
 constexpr const char* kBool = "1/true/on/yes or 0/false/off/no";
+constexpr const char* kIntrospect = "[127.0.0.1|localhost]:PORT";
 
 Settings resolve(Store& st) {
     const SettingDefaults& d = st.defaults;
@@ -157,7 +168,6 @@ Settings resolve(Store& st) {
     s.idle = d.idle;
     s.io_poller = d.io_poller.value_or(s.io_poller);
     s.watchdog_ms = d.watchdog_ms.value_or(s.watchdog_ms);
-    s.introspect_addr = d.introspect_addr;
     std::pair<bool, std::string> metrics{false, ""};
     overlay(st, s.topology, "RuntimeOptions::topology", d.topology.c_str(),
             parse_topology, "PxCxT, e.g. 2x18x2");
@@ -165,6 +175,8 @@ Settings resolve(Store& st) {
             d.trace_sink.c_str(), parse_trace, "a path");
     overlay(st, metrics, "RuntimeOptions::metrics_sink",
             d.metrics_sink.c_str(), parse_metrics, "a boolean or *.json");
+    overlay(st, s.introspect_port, "RuntimeOptions::introspect_addr",
+            d.introspect_addr.c_str(), parse_introspect, kIntrospect);
 
     // ...then the environment.
     const auto env = [&st](auto& field, const char* name, auto parse,
@@ -185,7 +197,7 @@ Settings resolve(Store& st) {
     env(s.trace_path, "LWT_TRACE", parse_trace, "a path or an off spelling");
     env(metrics, "LWT_METRICS", parse_metrics, "a boolean or *.json");
     env(s.io_poller, "LWT_IO_POLLER", parse_bool, kBool);
-    env(s.introspect_addr, "LWT_INTROSPECT", parse_text, "an address");
+    env(s.introspect_port, "LWT_INTROSPECT", parse_introspect, kIntrospect);
     env(s.watchdog_ms, "LWT_WATCHDOG_MS", parse_number<std::uint32_t>(0),
         "milliseconds");
     s.metrics = metrics.first;
@@ -231,14 +243,30 @@ Settings settings() {
     return st.loaded ? st.current : load_locked(st);
 }
 
+void ensure_settings_loaded() noexcept {
+    try {
+        Store& st = store();
+        std::lock_guard g(st.mutex);
+        if (!st.loaded) {
+            (void)load_locked(st);
+        }
+    } catch (...) {
+        // Out of memory or a failed lock: the built-ins stay in force.
+    }
+}
+
 std::size_t default_stack_size() noexcept {
-    const std::size_t n = g_stack_size.load(std::memory_order_relaxed);
-    return n != 0 ? n : settings().stack_size;
+    std::size_t n = g_stack_size.load(std::memory_order_relaxed);
+    if (n == 0) {
+        ensure_settings_loaded();
+        n = g_stack_size.load(std::memory_order_relaxed);
+    }
+    return n != 0 ? n : kBuiltinStackSize;
 }
 
 bool stack_huge_enabled() noexcept {
     if (g_stack_size.load(std::memory_order_relaxed) == 0) {
-        (void)settings();
+        ensure_settings_loaded();
     }
     return g_stack_huge.load(std::memory_order_relaxed);
 }

@@ -38,10 +38,12 @@ enum class IdlePolicy : std::uint8_t {
 
 [[nodiscard]] const char* idle_policy_name(IdlePolicy p) noexcept;
 
+inline constexpr std::size_t kBuiltinStackSize = 64 * 1024;
+
 /// The resolved value of every runtime variable.
 struct Settings {
     /// LWT_STACKSIZE: usable bytes per default ULT stack (>= 4096).
-    std::size_t stack_size = 64 * 1024;
+    std::size_t stack_size = kBuiltinStackSize;
     /// LWT_STACK_CACHE: free stacks a StackPool keeps; nullopt = the
     /// pool's own cap.
     std::optional<std::size_t> stack_cache;
@@ -66,8 +68,9 @@ struct Settings {
     std::string metrics_json;
     /// LWT_IO_POLLER: run the reactor's dedicated poller thread.
     bool io_poller = true;
-    /// LWT_INTROSPECT: HTTP endpoint address; "" = off.
-    std::string introspect_addr;
+    /// LWT_INTROSPECT: loopback port of the HTTP endpoint (0 = a free
+    /// one); nullopt = off.
+    std::optional<std::uint16_t> introspect_port;
     /// LWT_WATCHDOG_MS: stall-watchdog interval; 0 = off.
     std::uint32_t watchdog_ms = 0;
 };
@@ -104,5 +107,10 @@ Settings load_settings();
 /// (Settings::stack_huge): one relaxed load each, for the create path.
 [[nodiscard]] std::size_t default_stack_size() noexcept;
 [[nodiscard]] bool stack_huge_enabled() noexcept;
+
+/// The first load, for noexcept readers that may run before any boot:
+/// publishes the lock-free values (stack size, hugepage advice, the audit
+/// flag) without copying Settings. If the load fails the built-ins stay.
+void ensure_settings_loaded() noexcept;
 
 }  // namespace lwt::arch

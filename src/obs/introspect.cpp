@@ -30,40 +30,6 @@ using namespace std::chrono_literals;
 constexpr std::size_t kMaxRequestBytes = 4096;
 constexpr auto kIoDeadline = 5s;
 
-// --- address parsing --------------------------------------------------------
-
-/// "127.0.0.1:9109" | "localhost:9109" | ":9109" | "9109" -> port.
-/// Any other host is rejected: the endpoints expose runtime internals and
-/// io::Listener only binds loopback anyway.
-std::optional<std::uint16_t> parse_introspect_addr(const std::string& addr) {
-    std::string host;
-    std::string port_str = addr;
-    if (const auto colon = addr.rfind(':'); colon != std::string::npos) {
-        host = addr.substr(0, colon);
-        port_str = addr.substr(colon + 1);
-    }
-    if (!host.empty() && host != "127.0.0.1" && host != "localhost") {
-        std::fprintf(stderr,
-                     "lwt: LWT_INTROSPECT host '%s' refused (loopback "
-                     "only); introspection disabled\n",
-                     host.c_str());
-        return std::nullopt;
-    }
-    if (port_str.empty()) {
-        return std::nullopt;
-    }
-    char* end = nullptr;
-    const long port = std::strtol(port_str.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || port < 0 || port > 65535) {
-        std::fprintf(stderr,
-                     "lwt: LWT_INTROSPECT port '%s' invalid; introspection "
-                     "disabled\n",
-                     port_str.c_str());
-        return std::nullopt;
-    }
-    return static_cast<std::uint16_t>(port);
-}
-
 // --- JSON helpers -----------------------------------------------------------
 
 void json_kv(std::ostream& os, const char* key, std::uint64_t v,
@@ -486,9 +452,7 @@ std::atomic<Watchdog*> g_watchdog{nullptr};
 
 void resolve_config(IntroState& st) {
     const arch::Settings cfg = arch::settings();
-    st.port = cfg.introspect_addr.empty()
-                  ? std::nullopt
-                  : parse_introspect_addr(cfg.introspect_addr);
+    st.port = cfg.introspect_port;
     st.watchdog_ms = cfg.watchdog_ms;
 }
 

@@ -16,8 +16,9 @@
 //
 // Enabled by LWT_INTROSPECT=127.0.0.1:PORT (also ":PORT" or "PORT"; port
 // 0 picks a free one — read it back with introspect_bound_addr()).
-// Security: io::Listener only binds loopback, and any LWT_INTROSPECT host
-// other than 127.0.0.1/localhost is rejected with a warning — the
+// Security: io::Listener only binds loopback, and arch::Settings treats
+// any LWT_INTROSPECT host other than 127.0.0.1/localhost as malformed
+// (warns, then falls through to glt::init's introspect_addr) — the
 // endpoints expose internals and must never face a network.
 //
 // The companion stall watchdog (watchdog.hpp) is armed independently via

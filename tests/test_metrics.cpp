@@ -50,9 +50,11 @@ using namespace lwt::core;
 
 TEST(ObservabilitySessionTest, EnvArmsRecordersAndFlushWritesTrace) {
     const char* path = "obs_session_trace_test.json";
+    const char* metrics_path = "obs_session_metrics_test.json";
     std::remove(path);
+    std::remove(metrics_path);
     ::setenv("LWT_TRACE", path, 1);
-    ::setenv("LWT_METRICS", "obs_session_metrics_test.json", 1);
+    ::setenv("LWT_METRICS", metrics_path, 1);
     {
         ObservabilitySession outer;
         EXPECT_TRUE(observability_armed());
@@ -72,9 +74,11 @@ TEST(ObservabilitySessionTest, EnvArmsRecordersAndFlushWritesTrace) {
     ASSERT_NE(f, nullptr);
     std::fclose(f);
     EXPECT_EQ(Tracer::instance().stats().of(TraceEvent::kCreate), 0u);
-    std::FILE* mj = std::fopen("obs_session_metrics_test.json", "r");
+    std::FILE* mj = std::fopen(metrics_path, "r");
     ASSERT_NE(mj, nullptr);
     std::fclose(mj);
+    std::remove(path);
+    std::remove(metrics_path);
     ::unsetenv("LWT_TRACE");
     ::unsetenv("LWT_METRICS");
     // The flush disarmed what the session armed: the remaining tests start

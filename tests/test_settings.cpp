@@ -8,6 +8,7 @@
 // cannot pin this test process to one CPU.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -50,7 +51,7 @@ struct Knob {
     std::string default_seen;
     const char* env_value;
     std::string env_seen;
-    /// A value the parser must reject (nullptr: every string is accepted).
+    /// A value the parser must reject.
     const char* malformed;
 };
 
@@ -123,9 +124,16 @@ std::vector<Knob> knobs() {
          "settings_metrics.json", "settings_metrics.json", "metrics.txt"},
         {"LWT_IO_POLLER", [] { return str(settings().io_poller); }, "1",
          [](RuntimeOptions& o) { o.io_poller = false; }, "0", "yes", "1", "2"},
-        {"LWT_INTROSPECT", [] { return settings().introspect_addr; }, "",
-         [](RuntimeOptions& o) { o.introspect_addr = "127.0.0.1:0"; },
-         "127.0.0.1:0", "localhost:0", "localhost:0", nullptr},
+        // The env row needs a port other than the default's 0 to show
+        // which source won; 1 is never an ephemeral port, and a refused
+        // bind only prints a line.
+        {"LWT_INTROSPECT",
+         [] {
+             const auto p = settings().introspect_port;
+             return p ? std::to_string(*p) : std::string("off");
+         },
+         "off", [](RuntimeOptions& o) { o.introspect_addr = "127.0.0.1:0"; },
+         "0", "localhost:1", "1", "0.0.0.0:0"},
         {"LWT_WATCHDOG_MS",
          [] { return std::to_string(settings().watchdog_ms); }, "0",
          [](RuntimeOptions& o) { o.watchdog_ms = 250; }, "250", "100", "100",
@@ -184,21 +192,19 @@ TEST_F(SettingsTest, EveryKnobResolvesEnvThenInitThenBuiltin) {
         ::setenv(k.var, k.env_value, 1);
         EXPECT_EQ(boot_and_read(k, with_default), k.env_seen) << "env";
 
-        if (k.malformed != nullptr) {
-            // Malformed: keep the next source, and say so once.
-            ::setenv(k.var, k.malformed, 1);
-            const std::string note =
-                std::string(k.var) + "=\"" + k.malformed + "\"";
-            ::testing::internal::CaptureStderr();
-            EXPECT_EQ(boot_and_read(k, with_default), k.default_seen)
-                << "malformed";
-            std::string err = ::testing::internal::GetCapturedStderr();
-            EXPECT_NE(err.find(note), std::string::npos) << err;
-            ::testing::internal::CaptureStderr();
-            (void)boot_and_read(k, with_default);
-            err = ::testing::internal::GetCapturedStderr();
-            EXPECT_EQ(err.find(note), std::string::npos) << "warned twice";
-        }
+        // Malformed: keep the next source, and say so once.
+        ::setenv(k.var, k.malformed, 1);
+        const std::string note =
+            std::string(k.var) + "=\"" + k.malformed + "\"";
+        ::testing::internal::CaptureStderr();
+        EXPECT_EQ(boot_and_read(k, with_default), k.default_seen)
+            << "malformed";
+        std::string err = ::testing::internal::GetCapturedStderr();
+        EXPECT_NE(err.find(note), std::string::npos) << err;
+        ::testing::internal::CaptureStderr();
+        (void)boot_and_read(k, with_default);
+        err = ::testing::internal::GetCapturedStderr();
+        EXPECT_EQ(err.find(note), std::string::npos) << "warned twice";
 
         // The last glt::init replaces every default: a plain init clears.
         ::unsetenv(k.var);
@@ -263,13 +269,44 @@ TEST_F(SettingsTest, MalformedValuesKeepTheDefault) {
     EXPECT_EQ(lwt::arch::load_settings().watchdog_ms, 0u);
     ::setenv("LWT_IDLE_POLICY", "sleepy", 1);
     EXPECT_FALSE(lwt::arch::load_settings().idle.has_value());
+    for (const char* bad :
+         {"0.0.0.0:0", "10.0.0.1:9109", "127.0.0.1:x", "70000", "localhost:",
+          ":-1"}) {
+        ::setenv("LWT_INTROSPECT", bad, 1);
+        EXPECT_FALSE(lwt::arch::load_settings().introspect_port.has_value())
+            << bad;
+    }
     (void)::testing::internal::GetCapturedStderr();
 
-    // Enum names match case-insensitively.
-    ::setenv("LWT_IDLE_POLICY", "PARK", 1);
-    EXPECT_EQ(lwt::arch::load_settings().idle, IdlePolicy::kPark);
-    ::setenv("LWT_BIND", "Scatter", 1);
-    EXPECT_EQ(lwt::arch::load_settings().bind, BindPolicy::kScatter);
+    // Every enum name parses, in any case.
+    const auto upper = [](std::string v) {
+        for (char& c : v) {
+            c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+        }
+        return v;
+    };
+    for (IdlePolicy p :
+         {IdlePolicy::kSpin, IdlePolicy::kBackoff, IdlePolicy::kPark}) {
+        const std::string name = lwt::arch::idle_policy_name(p);
+        for (const std::string& v : {name, upper(name)}) {
+            ::setenv("LWT_IDLE_POLICY", v.c_str(), 1);
+            EXPECT_EQ(lwt::arch::load_settings().idle, p) << v;
+        }
+    }
+    for (BindPolicy p :
+         {BindPolicy::kNone, BindPolicy::kCompact, BindPolicy::kScatter}) {
+        const std::string name = lwt::arch::bind_policy_name(p);
+        for (const std::string& v : {name, upper(name)}) {
+            ::setenv("LWT_BIND", v.c_str(), 1);
+            EXPECT_EQ(lwt::arch::load_settings().bind, p) << v;
+        }
+    }
+    // Every loopback spelling of the introspection address.
+    for (const char* ok : {"127.0.0.1:9109", "localhost:9109",
+                           "LocalHost:9109", ":9109", "9109"}) {
+        ::setenv("LWT_INTROSPECT", ok, 1);
+        EXPECT_EQ(lwt::arch::load_settings().introspect_port, 9109) << ok;
+    }
     // An empty variable counts as unset.
     ::setenv("LWT_BIND", "", 1);
     EXPECT_FALSE(lwt::arch::load_settings().bind.has_value());
