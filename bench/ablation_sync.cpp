@@ -8,15 +8,15 @@
 //   * core::RwLock      (write mode: suspend-based, writer-preferring)
 //   * sync::Spinlock    (pure spin — the pre-suite baseline)
 //   * sync::TicketLock  (spin, FIFO-fair — the fairness yardstick)
-// plus a 2-ULT core::Condvar ping-pong for the wake-latency path.
+// plus a 2-ULT core::Condvar ping-pong for the block->resume path.
 //
 // Reported per primitive, into BENCH_sync.json (always written; the
 // sync-smoke CI leg parses it) and as a human-readable table:
 //   * throughput: lock acquisitions per millisecond, summed over ULTs
 //   * fairness:   Jain index over per-ULT acquisition counts
 //                 ((Σx)² / (n·Σx²); 1.0 = perfectly fair)
-//   * wake latency: count/mean/p50/p99 ticks from the process-wide
-//                 "sync.wake_latency_ticks" histogram (suspend-based
+//   * block->resume: count/mean/p50/p99 ns from the process-wide
+//                 "sync.block_resume_ns" histogram (suspend-based
 //                 primitives only — spin locks never park, so their
 //                 count staying 0 is itself the ablation's point)
 //
@@ -32,24 +32,16 @@
 #include <vector>
 
 #include "abt/abt.hpp"
+#include "benchsupport/harness.hpp"
 #include "core/metrics.hpp"
 #include "core/sync_ult.hpp"
 #include "sync/spinlock.hpp"
 
 namespace {
 
-std::size_t env_size(const char* name, std::size_t fallback) {
-    if (const char* v = std::getenv(name)) {
-        const long parsed = std::atol(v);
-        if (parsed > 0) {
-            return static_cast<std::size_t>(parsed);
-        }
-    }
-    return fallback;
-}
-
+using lwt::benchsupport::env_size;
+using lwt::core::Histogram;
 using lwt::core::HistogramSnapshot;
-using lwt::core::LatencyHistogram;
 using lwt::core::Metrics;
 using lwt::core::MetricsRegistry;
 
@@ -58,7 +50,7 @@ struct PrimitiveResult {
     bool suspend_based = false;
     double ops_per_ms = 0.0;
     double fairness = 0.0;
-    HistogramSnapshot wake;
+    HistogramSnapshot block_resume;
 };
 
 double jain_index(const std::vector<std::uint64_t>& counts) {
@@ -129,8 +121,8 @@ PrimitiveResult measure_lock(const std::string& name, bool suspend_based,
                              std::size_t threads, std::size_t ults,
                              std::size_t reps, double window_ms,
                              MakeLock&& make) {
-    LatencyHistogram& hist =
-        MetricsRegistry::instance().histogram("sync.wake_latency_ticks");
+    Histogram& hist =
+        MetricsRegistry::instance().histogram("sync.block_resume_ns");
     PrimitiveResult r;
     r.name = name;
     r.suspend_based = suspend_based;
@@ -152,17 +144,17 @@ PrimitiveResult measure_lock(const std::string& name, bool suspend_based,
     }
     r.ops_per_ms = ops_sum / static_cast<double>(reps);
     r.fairness = fairness_sum / static_cast<double>(reps);
-    r.wake = hist.snapshot();
+    r.block_resume = hist.snapshot();
     return r;
 }
 
 /// Condvar ping-pong: pairs of ULTs alternate strict turns through one
 /// mutex/condvar; every handoff is a suspend + targeted wake, so this is
-/// the wake-latency microscope (throughput = handoffs per ms).
+/// the block->resume microscope (throughput = handoffs per ms).
 PrimitiveResult measure_condvar(std::size_t threads, std::size_t reps,
                                 double window_ms) {
-    LatencyHistogram& hist =
-        MetricsRegistry::instance().histogram("sync.wake_latency_ticks");
+    Histogram& hist =
+        MetricsRegistry::instance().histogram("sync.block_resume_ns");
     PrimitiveResult r;
     r.name = "core::Condvar ping-pong";
     r.suspend_based = true;
@@ -214,7 +206,7 @@ PrimitiveResult measure_condvar(std::size_t threads, std::size_t reps,
     }
     r.ops_per_ms = ops_sum / static_cast<double>(reps);
     r.fairness = 1.0;  // strict alternation by construction
-    r.wake = hist.snapshot();
+    r.block_resume = hist.snapshot();
     return r;
 }
 
@@ -243,13 +235,12 @@ bool write_json(const std::string& path, std::size_t threads,
         std::fprintf(f, "      \"throughput_ops_per_ms\": %.3f,\n",
                      r.ops_per_ms);
         std::fprintf(f, "      \"fairness_jain\": %.4f,\n", r.fairness);
-        std::fprintf(f, "      \"wake_latency\": {\"count\": %llu, "
-                        "\"mean_ticks\": %.1f, \"p50_ticks\": %llu, "
-                        "\"p99_ticks\": %llu}\n",
-                     static_cast<unsigned long long>(r.wake.count),
-                     r.wake.mean(),
-                     static_cast<unsigned long long>(r.wake.percentile(0.5)),
-                     static_cast<unsigned long long>(r.wake.percentile(0.99)));
+        std::fprintf(f, "      \"block_resume\": {\"count\": %llu, "
+                        "\"mean_ns\": %.1f, \"p50_ns\": %.1f, "
+                        "\"p99_ns\": %.1f}\n",
+                     static_cast<unsigned long long>(r.block_resume.count),
+                     r.block_resume.mean(), r.block_resume.quantile(0.5),
+                     r.block_resume.quantile(0.99));
         std::fprintf(f, "    }%s\n", i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
@@ -268,7 +259,7 @@ int main() {
         static_cast<double>(env_size("LWTBENCH_SYNC_MS", 50));
     const std::size_t ults = 4 * threads;  // the acceptance contention shape
 
-    // Wake-latency stamping is metrics-gated; turn it on for the whole run.
+    // Block->resume stamping is metrics-gated; turn it on for the whole run.
     Metrics::instance().enable();
 
     std::vector<PrimitiveResult> results;
@@ -323,13 +314,13 @@ int main() {
                 "(%zu streams, %zu ULTs, %.0f ms window, reps=%zu)\n",
                 threads, ults, window_ms, reps);
     std::printf("primitive,suspend,ops_per_ms,fairness_jain,"
-                "wake_count,wake_mean_ticks,wake_p99_ticks\n");
+                "block_resume_count,block_resume_mean_ns,"
+                "block_resume_p99_ns\n");
     for (const PrimitiveResult& r : results) {
-        std::printf("%s,%d,%.3f,%.4f,%llu,%.1f,%llu\n", r.name.c_str(),
+        std::printf("%s,%d,%.3f,%.4f,%llu,%.1f,%.1f\n", r.name.c_str(),
                     r.suspend_based ? 1 : 0, r.ops_per_ms, r.fairness,
-                    static_cast<unsigned long long>(r.wake.count),
-                    r.wake.mean(),
-                    static_cast<unsigned long long>(r.wake.percentile(0.99)));
+                    static_cast<unsigned long long>(r.block_resume.count),
+                    r.block_resume.mean(), r.block_resume.quantile(0.99));
     }
 
     if (!write_json("BENCH_sync.json", threads, ults, reps, window_ms,

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
@@ -13,22 +12,13 @@
 
 namespace lwtbench {
 
+using lwt::benchsupport::env_flag;
+using lwt::benchsupport::env_size;
 using lwt::benchsupport::Series;
 using lwt::benchsupport::Summary;
 using lwt::benchsupport::SweepConfig;
 using lwt::patterns::PatternRunner;
 using lwt::patterns::Variant;
-
-/// Env helper with default.
-inline std::size_t env_size(const char* name, std::size_t fallback) {
-    if (const char* v = std::getenv(name)) {
-        const long parsed = std::atol(v);
-        if (parsed > 0) {
-            return static_cast<std::size_t>(parsed);
-        }
-    }
-    return fallback;
-}
 
 /// Build one harness Series per library configuration. `make` receives the
 /// booted runner and returns the per-repetition body; the runner stays
@@ -58,10 +48,7 @@ inline bool bulk_mode(int argc, char** argv) {
             return true;
         }
     }
-    if (const char* v = std::getenv("LWTBENCH_BULK")) {
-        return std::atol(v) != 0;
-    }
-    return false;
+    return env_flag("LWTBENCH_BULK");
 }
 
 /// True when the bench was invoked with `--json` (or LWTBENCH_JSON=1):
@@ -74,10 +61,7 @@ inline bool json_mode(int argc, char** argv) {
             return true;
         }
     }
-    if (const char* v = std::getenv("LWTBENCH_JSON")) {
-        return std::atol(v) != 0;
-    }
-    return false;
+    return env_flag("LWTBENCH_JSON");
 }
 
 /// run_and_print plus the `--json` dump: the standard epilogue of every

@@ -321,13 +321,21 @@ void BM_MetricsHookEnabled(benchmark::State& state) {
 BENCHMARK(BM_MetricsHookEnabled);
 
 void BM_HistogramRecord(benchmark::State& state) {
-    core::LatencyHistogram hist;
+    auto& hist = core::MetricsRegistry::instance().histogram("bench.record");
     std::uint64_t v = 0;
     for (auto _ : state) {
         hist.record(++v);
     }
 }
 BENCHMARK(BM_HistogramRecord);
+
+void BM_CounterInc(benchmark::State& state) {
+    auto& counter = core::MetricsRegistry::instance().counter("bench.inc");
+    for (auto _ : state) {
+        counter.inc();
+    }
+}
+BENCHMARK(BM_CounterInc);
 
 }  // namespace
 

@@ -12,13 +12,14 @@
 //     /proc/self/exe, exec immediately after fork: the parent is
 //     multi-threaded) as the CLIENT, which opens `conns` concurrent
 //     connections, drives `reqs` request/reply round trips on each, and
-//     ships its "io.req_latency_ticks" HistogramSnapshot + throughput back
+//     ships its "io.req_latency_ns" HistogramSnapshot + throughput back
 //     over a pipe. Client sockets close by RST (SO_LINGER 0) so sweeps
 //     don't exhaust ephemeral ports in TIME_WAIT.
 //
 // Sweep (connections x payload x streams) and report, per point:
 // throughput (requests/s), per-request latency mean/p50/p99 (us, from the
-// client's log2 histogram), and the server's reactor wake/poll counts.
+// client's log-linear histogram), and the server's reactor wake/poll
+// counts.
 // Always writes BENCH_net.json (the io-smoke CI leg parses it; --json is
 // accepted for symmetry with the figure benches).
 //
@@ -40,9 +41,9 @@
 #include <thread>
 #include <vector>
 
+#include "benchsupport/harness.hpp"
 #include "core/metrics.hpp"
 #include "core/reactor.hpp"
-#include "core/trace_export.hpp"
 #include "gol/gol.hpp"
 #include "io/io.hpp"
 #include "obs/introspect.hpp"
@@ -50,23 +51,52 @@
 namespace {
 
 namespace io = lwt::io;
+using lwt::benchsupport::env_size;
 using lwt::core::Deadline;
 using lwt::core::HistogramSnapshot;
-using lwt::core::kHistogramBuckets;
 using std::chrono::steady_clock;
 
 constexpr auto kOpDeadline = std::chrono::seconds(60);
 
-/// Fixed-layout result blob the client ships to the parent over the pipe.
+/// What the client ships to the parent over the pipe: this fixed header,
+/// then the latency histogram's HistogramSnapshot::kBuckets counts.
 struct ClientReport {
     std::uint64_t ok_conns = 0;
     std::uint64_t ok_reqs = 0;
     std::uint64_t elapsed_ns = 0;
-    double ticks_per_us = 0.0;
-    std::uint64_t buckets[kHistogramBuckets] = {};
-    std::uint64_t count = 0;
-    std::uint64_t sum = 0;
+    std::uint64_t count = 0;  ///< latency samples
+    std::uint64_t sum = 0;    ///< their total, in ns
 };
+
+constexpr std::size_t kBucketBytes =
+    HistogramSnapshot::kBuckets * sizeof(std::uint64_t);
+
+bool write_fully(int fd, const void* data, std::size_t len) {
+    const char* p = static_cast<const char*>(data);
+    while (len > 0) {
+        const ssize_t n = ::write(fd, p, len);
+        if (n <= 0) {
+            return false;
+        }
+        p += n;
+        len -= static_cast<std::size_t>(n);
+    }
+    return true;
+}
+
+/// Bytes read before EOF or `len`.
+std::size_t read_fully(int fd, void* data, std::size_t len) {
+    char* p = static_cast<char*>(data);
+    std::size_t got = 0;
+    while (got < len) {
+        const ssize_t n = ::read(fd, p + got, len - got);
+        if (n <= 0) {
+            break;
+        }
+        got += static_cast<std::size_t>(n);
+    }
+    return got;
+}
 
 void raise_fd_limit() {
     struct rlimit rl{};
@@ -76,24 +106,14 @@ void raise_fd_limit() {
     }
 }
 
-long env_long(const char* name, long fallback) {
-    if (const char* v = std::getenv(name)) {
-        const long parsed = std::atol(v);
-        if (parsed > 0) {
-            return parsed;
-        }
-    }
-    return fallback;
-}
-
 // --- client process ----------------------------------------------------------
 
 int run_client(std::uint16_t port, std::size_t conns, std::size_t payload,
                std::size_t reqs, int pipe_fd) {
     raise_fd_limit();
-    lwt::core::Metrics::instance().enable();  // arm io.req_latency_ticks
-    auto& hist = lwt::core::MetricsRegistry::instance().histogram(
-        "io.req_latency_ticks");
+    lwt::core::Metrics::instance().enable();  // arm io.req_latency_ns
+    auto& hist =
+        lwt::core::MetricsRegistry::instance().histogram("io.req_latency_ns");
     hist.reset();
 
     lwt::gol::Config c;
@@ -149,21 +169,13 @@ int run_client(std::uint16_t port, std::size_t conns, std::size_t payload,
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             steady_clock::now() - t0)
             .count());
-    rep.ticks_per_us = lwt::core::tsc_ticks_per_us();
-    const HistogramSnapshot snap = hist.snapshot();
-    std::memcpy(rep.buckets, snap.buckets.data(), sizeof rep.buckets);
+    HistogramSnapshot snap = hist.snapshot();
+    snap.buckets.resize(HistogramSnapshot::kBuckets);  // empty when no sample
     rep.count = snap.count;
     rep.sum = snap.sum;
-
-    const char* p = reinterpret_cast<const char*>(&rep);
-    std::size_t left = sizeof rep;
-    while (left > 0) {
-        const ssize_t n = ::write(pipe_fd, p, left);
-        if (n <= 0) {
-            return 1;
-        }
-        p += n;
-        left -= static_cast<std::size_t>(n);
+    if (!write_fully(pipe_fd, &rep, sizeof rep) ||
+        !write_fully(pipe_fd, snap.buckets.data(), kBucketBytes)) {
+        return 1;
     }
     ::close(pipe_fd);
     return 0;
@@ -264,7 +276,7 @@ bool run_point(const char* self, const Point& pt, PointResult& out) {
     const std::string conns_s = std::to_string(pt.conns);
     const std::string payload_s = std::to_string(pt.payload);
     const std::string reqs_s = std::to_string(
-        static_cast<std::size_t>(env_long("LWTBENCH_NET_REQS", 4)));
+        env_size("LWTBENCH_NET_REQS", 4));
     const std::string fd_s = std::to_string(pipefd[1]);
 
     const pid_t pid = ::fork();
@@ -283,15 +295,10 @@ bool run_point(const char* self, const Point& pt, PointResult& out) {
 
     // Drain the report; EOF short of a full blob means the child died.
     ClientReport rep;
-    char* dst = reinterpret_cast<char*>(&rep);
-    std::size_t got = 0;
-    while (got < sizeof rep) {
-        const ssize_t n = ::read(pipefd[0], dst + got, sizeof rep - got);
-        if (n <= 0) {
-            break;
-        }
-        got += static_cast<std::size_t>(n);
-    }
+    HistogramSnapshot latency;
+    latency.buckets.resize(HistogramSnapshot::kBuckets);
+    std::size_t got = read_fully(pipefd[0], &rep, sizeof rep);
+    got += read_fully(pipefd[0], latency.buckets.data(), kBucketBytes);
     ::close(pipefd[0]);
     int status = 0;
     ::waitpid(pid, &status, 0);
@@ -305,14 +312,16 @@ bool run_point(const char* self, const Point& pt, PointResult& out) {
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
 
-    if (got != sizeof rep || !WIFEXITED(status) ||
+    if (got != sizeof rep + kBucketBytes || !WIFEXITED(status) ||
         WEXITSTATUS(status) != 0) {
         std::fprintf(stderr, "net_echo: client failed (status %d, %zu/%zu "
                              "report bytes)\n",
-                     status, got, sizeof rep);
+                     status, got, sizeof rep + kBucketBytes);
         return false;
     }
 
+    latency.count = rep.count;
+    latency.sum = rep.sum;
     out.p = pt;
     out.rep = rep;
     out.reactor_wakes = wakes.value() - wakes0;
@@ -321,14 +330,9 @@ bool run_point(const char* self, const Point& pt, PointResult& out) {
     const double elapsed_s = static_cast<double>(rep.elapsed_ns) / 1e9;
     out.throughput_rps =
         elapsed_s > 0.0 ? static_cast<double>(rep.ok_reqs) / elapsed_s : 0.0;
-    HistogramSnapshot snap;
-    std::memcpy(snap.buckets.data(), rep.buckets, sizeof rep.buckets);
-    snap.count = rep.count;
-    snap.sum = rep.sum;
-    const double tpu = rep.ticks_per_us > 0.0 ? rep.ticks_per_us : 1.0;
-    out.mean_us = snap.mean() / tpu;
-    out.p50_us = static_cast<double>(snap.percentile(0.50)) / tpu;
-    out.p99_us = static_cast<double>(snap.percentile(0.99)) / tpu;
+    out.mean_us = latency.mean() / 1e3;
+    out.p50_us = latency.quantile(0.50) / 1e3;
+    out.p99_us = latency.quantile(0.99) / 1e3;
     return true;
 }
 
@@ -391,16 +395,13 @@ int main(int argc, char** argv) {
     // stream count at the 1k midpoint, and top out at the 10k-connection
     // acceptance load. Env overrides pin a single point (the CI smoke).
     std::vector<Point> sweep;
-    const long env_conns = env_long("LWTBENCH_NET_CONNS", 0);
-    const long env_payload = env_long("LWTBENCH_NET_PAYLOAD", 0);
-    const long env_streams = env_long("LWTBENCH_NET_STREAMS", 0);
+    const std::size_t env_conns = env_size("LWTBENCH_NET_CONNS", 0);
+    const std::size_t env_payload = env_size("LWTBENCH_NET_PAYLOAD", 0);
+    const std::size_t env_streams = env_size("LWTBENCH_NET_STREAMS", 0);
     if (env_conns > 0 || env_payload > 0 || env_streams > 0) {
-        sweep.push_back({static_cast<std::size_t>(
-                             env_conns > 0 ? env_conns : 1000),
-                         static_cast<std::size_t>(
-                             env_payload > 0 ? env_payload : 64),
-                         static_cast<std::size_t>(
-                             env_streams > 0 ? env_streams : 2)});
+        sweep.push_back({env_conns > 0 ? env_conns : 1000,
+                         env_payload > 0 ? env_payload : 64,
+                         env_streams > 0 ? env_streams : 2});
     } else {
         sweep = {{100, 64, 2},
                  {1000, 64, 1},

@@ -4,42 +4,26 @@
 // separate cheaply: shared-cacheline RMWs (locks, fetch_adds) and allocator
 // work. This facility counts both, but only when armed: every counting site
 // guards on enabled(), so the disabled path costs one branch on a cached
-// bool. Counts live in per-thread shards (single-writer relaxed stores, no
-// RMW — the audit must not perturb what it measures) that are leaked on
-// thread exit so snapshot() always covers the whole process history.
-//
-// Sits in arch (below core) so the stack pool and the personalities can
-// both report; core/observability folds snapshot() into the metrics
-// registry as `create.atomics` / `create.alloc_ticks` at flush.
+// bool. Counts go to fixed cells of the calling thread's telemetry shard
+// (arch/telemetry.hpp: single-writer relaxed stores, no RMW — the audit
+// must not perturb what it measures), which core::MetricsRegistry reads
+// as `create.atomics` / `create.alloc_ticks` / `create.alloc_samples`.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 
+#include "arch/telemetry.hpp"
+
 namespace lwt::arch::audit {
 
 namespace detail {
 
-struct Shard {
-    // Single-writer (the owning thread); readers tolerate slightly stale
-    // values. store(load+1) keeps the counters RMW-free.
-    std::atomic<std::uint64_t> rmw{0};
-    std::atomic<std::uint64_t> alloc_ticks{0};
-    std::atomic<std::uint64_t> alloc_samples{0};
-};
-
-Shard& shard_for_this_thread();
 bool enabled_slow() noexcept;
 
 inline std::atomic<int>& cached_flag() noexcept {
     static std::atomic<int> flag{-1};  // -1 = unresolved
     return flag;
-}
-
-inline void bump(std::atomic<std::uint64_t>& c,
-                 std::uint64_t n = 1) noexcept {
-    c.store(c.load(std::memory_order_relaxed) + n,
-            std::memory_order_relaxed);
 }
 
 }  // namespace detail
@@ -61,28 +45,15 @@ void force_enable(bool on) noexcept;
 /// One shared-cacheline RMW (lock acquire, fetch_add, CAS) on the spawn
 /// path. Call only under enabled().
 inline void count_rmw(std::uint64_t n = 1) noexcept {
-    detail::bump(detail::shard_for_this_thread().rmw, n);
+    telemetry::this_shard().add(telemetry::kCreateAtomics, n);
 }
 
 /// One descriptor allocation took `ticks` rdtsc ticks. Call only under
 /// enabled().
 inline void count_alloc_ticks(std::uint64_t ticks) noexcept {
-    detail::Shard& s = detail::shard_for_this_thread();
-    detail::bump(s.alloc_ticks, ticks);
-    detail::bump(s.alloc_samples, 1);
+    telemetry::Shard& s = telemetry::this_shard();
+    s.add(telemetry::kCreateAllocTicks, ticks);
+    s.add(telemetry::kCreateAllocSamples);
 }
-
-struct Snapshot {
-    std::uint64_t rmw = 0;            ///< shared RMWs on audited paths
-    std::uint64_t alloc_ticks = 0;    ///< rdtsc ticks inside unit_cache_alloc
-    std::uint64_t alloc_samples = 0;  ///< timed allocations
-};
-
-/// Sum over every shard ever created (exited threads included).
-[[nodiscard]] Snapshot snapshot() noexcept;
-
-/// Zero every shard (between audit windows; counts since process start
-/// otherwise).
-void reset() noexcept;
 
 }  // namespace lwt::arch::audit

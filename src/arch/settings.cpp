@@ -28,6 +28,8 @@ bool ieq(std::string_view a, std::string_view b) {
     return true;
 }
 
+}  // namespace
+
 // --- the one parser ---------------------------------------------------------
 
 std::optional<bool> parse_bool(std::string_view v) {
@@ -43,6 +45,8 @@ std::optional<bool> parse_bool(std::string_view v) {
     }
     return std::nullopt;
 }
+
+namespace {
 
 /// A whole-string decimal of type T that is at least `min`.
 template <typename T>
@@ -269,6 +273,10 @@ bool stack_huge_enabled() noexcept {
         ensure_settings_loaded();
     }
     return g_stack_huge.load(std::memory_order_relaxed);
+}
+
+std::optional<std::uint64_t> parse_unsigned(std::string_view v) {
+    return parse_number<std::uint64_t>(0)(v);
 }
 
 }  // namespace lwt::arch

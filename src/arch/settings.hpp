@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "arch/topology.hpp"
 
@@ -107,6 +108,12 @@ Settings load_settings();
 /// (Settings::stack_huge): one relaxed load each, for the create path.
 [[nodiscard]] std::size_t default_stack_size() noexcept;
 [[nodiscard]] bool stack_huge_enabled() noexcept;
+
+/// The grammar of every variable above, for other knob families (the
+/// benches' LWTBENCH_*): a case-insensitive 1/true/on/yes vs 0/false/off/no,
+/// and a whole-string unsigned decimal. nullopt when malformed.
+[[nodiscard]] std::optional<bool> parse_bool(std::string_view v);
+[[nodiscard]] std::optional<std::uint64_t> parse_unsigned(std::string_view v);
 
 /// The first load, for noexcept readers that may run before any boot:
 /// publishes the lock-free values (stack size, hugepage advice, the audit

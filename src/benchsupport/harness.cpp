@@ -2,31 +2,82 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <mutex>
+#include <optional>
+#include <set>
+#include <sstream>
+#include <string_view>
 
 #include "arch/cpu.hpp"
+#include "arch/settings.hpp"
 #include "arch/topology.hpp"
 #include "core/metrics.hpp"
 #include "core/sched_stats.hpp"
 
 namespace lwt::benchsupport {
 
+namespace {
+
+/// `name` read with `parse`, else `fallback`: unset, or malformed with one
+/// warning per name and value.
+template <typename T, typename Parse>
+T env_knob(const char* name, T fallback, Parse parse, const char* expected) {
+    static std::mutex mutex;
+    static std::set<std::string> warned;
+    const char* raw = std::getenv(name);
+    if (raw == nullptr || *raw == '\0') {
+        return fallback;
+    }
+    if (auto v = parse(std::string_view(raw))) {
+        return *v;
+    }
+    std::lock_guard guard(mutex);
+    if (warned.insert(std::string(name) + "=" + raw).second) {
+        std::fprintf(stderr,
+                     "[lwtbench] ignoring malformed %s=\"%s\" (expected %s)\n",
+                     name, raw, expected);
+    }
+    return fallback;
+}
+
+/// A whole-string decimal of at least `min`.
+std::optional<std::size_t> parse_size(std::string_view v, std::size_t min) {
+    const std::optional<std::uint64_t> n = arch::parse_unsigned(v);
+    return n && *n >= min ? std::optional<std::size_t>(*n) : std::nullopt;
+}
+
+/// "1,2,4": a comma list of whole numbers >= 1.
+std::optional<std::vector<std::size_t>> parse_list(std::string_view v) {
+    std::vector<std::size_t> out;
+    std::istringstream in{std::string(v)};
+    for (std::string item; std::getline(in, item, ',');) {
+        const auto n = parse_size(item, 1);
+        if (!n) {
+            return std::nullopt;
+        }
+        out.push_back(*n);
+    }
+    return out;
+}
+
+}  // namespace
+
+std::size_t env_size(const char* name, std::size_t fallback,
+                     std::size_t min) {
+    const auto parse = [min](std::string_view v) { return parse_size(v, min); };
+    return env_knob(name, fallback, parse,
+                    min == 0 ? "a whole number" : "a whole number >= 1");
+}
+
+bool env_flag(const char* name, bool fallback) {
+    return env_knob(name, fallback, arch::parse_bool,
+                    "1/true/on/yes or 0/false/off/no");
+}
+
 SweepConfig SweepConfig::from_env() {
     SweepConfig cfg;
-    if (const char* env = std::getenv("LWTBENCH_THREADS")) {
-        const char* p = env;
-        while (*p != '\0') {
-            char* end = nullptr;
-            const long v = std::strtol(p, &end, 10);
-            if (end == p) {
-                break;
-            }
-            if (v > 0) {
-                cfg.thread_counts.push_back(static_cast<std::size_t>(v));
-            }
-            p = *end == ',' ? end + 1 : end;
-        }
-    }
+    cfg.thread_counts = env_knob("LWTBENCH_THREADS", cfg.thread_counts,
+                                 parse_list, "a comma list like 1,2,4");
     if (cfg.thread_counts.empty()) {
         // Default: powers of two up to 2x the hardware threads (the paper
         // sweeps past the core count to show oversubscription effects).
@@ -35,18 +86,8 @@ SweepConfig SweepConfig::from_env() {
             cfg.thread_counts.push_back(t);
         }
     }
-    if (const char* env = std::getenv("LWTBENCH_REPS")) {
-        const long v = std::atol(env);
-        if (v > 0) {
-            cfg.reps = static_cast<std::size_t>(v);
-        }
-    }
-    if (const char* env = std::getenv("LWTBENCH_WARMUP")) {
-        const long v = std::atol(env);
-        if (v >= 0) {
-            cfg.warmup = static_cast<std::size_t>(v);
-        }
-    }
+    cfg.reps = env_size("LWTBENCH_REPS", cfg.reps);
+    cfg.warmup = env_size("LWTBENCH_WARMUP", cfg.warmup, 0);
     return cfg;
 }
 

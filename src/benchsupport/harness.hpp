@@ -6,6 +6,8 @@
 //   LWTBENCH_THREADS  comma list, e.g. "1,2,4,8"   (default scales to host)
 //   LWTBENCH_REPS     repetitions per point        (default 20; paper: 500)
 //   LWTBENCH_WARMUP   unmeasured runs per point    (default 2)
+// Every LWTBENCH_* knob goes through env_size / env_flag (the
+// arch::Settings grammar: "3x" is malformed, warns once, keeps the default).
 #pragma once
 
 #include <cstddef>
@@ -16,6 +18,12 @@
 #include "benchsupport/stats.hpp"
 
 namespace lwt::benchsupport {
+
+/// Knob `name` as a whole-string decimal >= `min` / a boolean, else
+/// `fallback` (unset, or malformed with a one-time warning).
+[[nodiscard]] std::size_t env_size(const char* name, std::size_t fallback,
+                                   std::size_t min = 1);
+[[nodiscard]] bool env_flag(const char* name, bool fallback = false);
 
 /// Sweep configuration resolved from the environment.
 struct SweepConfig {

@@ -89,9 +89,9 @@ void record_handoff_latency(std::uint64_t stamp) noexcept {
     if (stamp == 0 || !Metrics::instance().enabled()) {
         return;
     }
-    static MetricsRegistry& reg = MetricsRegistry::instance();
-    static LatencyHistogram& hist = reg.histogram("join.signal_resume_ticks");
-    hist.record(arch::rdtsc() - stamp);
+    static Histogram& hist =
+        MetricsRegistry::instance().histogram("join.signal_resume_ns");
+    hist.record(ticks_to_ns(arch::rdtsc() - stamp));
 }
 
 }  // namespace

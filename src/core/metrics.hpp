@@ -1,53 +1,54 @@
-// metrics.hpp — process-wide metrics: counters, gauges, and log2-bucketed
-// latency histograms.
+// metrics.hpp — the one telemetry plane: named counters, gauges and
+// log-linear latency histograms (in ns, via ticks_to_ns()), the per-stream
+// unit-latency histograms — queue dwell (create->start), exec
+// (dispatch->suspend/finish), block->wake — and the one snapshot every sink
+// renders. Counters and histograms write to the calling OS thread's
+// arch::telemetry shard, so no hot-path write touches a shared cacheline.
 //
-// Companion to the lifecycle tracer (trace.hpp) and the per-stream
-// scheduler counters (sched_stats.hpp): where those record *events*, this
-// layer aggregates *distributions* — per-unit queue dwell (create->start),
-// execution time (dispatch->suspend/finish), and block->wake latency — plus
-// arbitrary named counters and gauges. All hot-path writes are relaxed
-// atomics; snapshots are plain structs that merge with operator+= exactly
-// like SchedStats.
-//
-// Disabled (the default), every hook costs one relaxed atomic load: the
-// call sites guard on Metrics::instance().enabled() before touching a
-// timestamp or histogram (asserted by BM_MetricsHookDisabled in
-// bench/micro_ops.cpp).
+// Disabled (the default), every unit-latency hook costs one relaxed atomic
+// load: the call sites guard on Metrics::instance().enabled() (asserted by
+// BM_MetricsHookDisabled in bench/micro_ops.cpp).
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "arch/telemetry.hpp"
 #include "core/sched_stats.hpp"
 #include "sync/spinlock.hpp"
 
 namespace lwt::core {
 
-/// Monotonic event count. Writes are relaxed; reads may be slightly stale.
+/// Monotonic event count: one cell of every thread's shard, summed on
+/// read. reset() stores the sum as a base; it writes no thread's cell.
 class Counter {
   public:
+    explicit Counter(std::uint32_t cell) noexcept : cell_(cell) {}
     void inc(std::uint64_t n = 1) noexcept {
-        value_.fetch_add(n, std::memory_order_relaxed);
+        arch::telemetry::this_shard().add(cell_, n);
     }
     [[nodiscard]] std::uint64_t value() const noexcept {
-        return value_.load(std::memory_order_relaxed);
+        const std::uint64_t sum = arch::telemetry::sum(cell_);
+        const std::uint64_t base = base_.load(std::memory_order_relaxed);
+        return sum > base ? sum - base : 0;
     }
-    void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
+    void reset() noexcept {
+        base_.store(arch::telemetry::sum(cell_), std::memory_order_relaxed);
+    }
 
   private:
-    std::atomic<std::uint64_t> value_{0};
+    std::uint32_t cell_;
+    std::atomic<std::uint64_t> base_{0};
 };
 
-/// Instantaneous level with a high-water mark (e.g. queue depth). set()
-/// also folds the sample into the running max so a shutdown report can
-/// show the peak even though sampling stopped long before.
+/// Instantaneous level with a high-water mark.
 class Gauge {
   public:
     void set(std::int64_t v) noexcept {
@@ -56,7 +57,6 @@ class Gauge {
         while (v > prev && !max_.compare_exchange_weak(
                                prev, v, std::memory_order_relaxed)) {
         }
-        samples_.fetch_add(1, std::memory_order_relaxed);
     }
     [[nodiscard]] std::int64_t value() const noexcept {
         return value_.load(std::memory_order_relaxed);
@@ -64,192 +64,148 @@ class Gauge {
     [[nodiscard]] std::int64_t max() const noexcept {
         return max_.load(std::memory_order_relaxed);
     }
-    [[nodiscard]] std::uint64_t samples() const noexcept {
-        return samples_.load(std::memory_order_relaxed);
-    }
     void reset() noexcept {
         value_.store(0, std::memory_order_relaxed);
         max_.store(0, std::memory_order_relaxed);
-        samples_.store(0, std::memory_order_relaxed);
     }
 
   private:
     std::atomic<std::int64_t> value_{0};
     std::atomic<std::int64_t> max_{0};
-    std::atomic<std::uint64_t> samples_{0};
 };
 
-/// Number of log2 buckets: bucket 0 holds exact zeros, bucket i (i >= 1)
-/// holds values in [2^(i-1), 2^i). Covers the full uint64 range.
-inline constexpr std::size_t kHistogramBuckets = 65;
-
-/// Plain (non-atomic) histogram snapshot; the unit of reporting/merging.
+/// Plain log-linear histogram (the layout of perfbench/stats.hpp's
+/// LogLinearHistogram): exact below 32, then 32 linear sub-buckets per
+/// power of two, so a bucket is at most 1/32 of its lower edge wide and
+/// its midpoint within 1/64 of any value in it.
 struct HistogramSnapshot {
-    std::array<std::uint64_t, kHistogramBuckets> buckets{};
+    static constexpr unsigned kSubBits = 5;
+    static constexpr std::size_t kSub = std::size_t{1} << kSubBits;
+    static constexpr std::size_t kBuckets = kSub + (64 - kSubBits) * kSub;
+
+    [[nodiscard]] static constexpr std::size_t bucket_of(
+        std::uint64_t v) noexcept {
+        if (v < kSub) {
+            return static_cast<std::size_t>(v);
+        }
+        const unsigned shift =
+            static_cast<unsigned>(std::bit_width(v)) - 1 - kSubBits;
+        return kSub * (shift + 1) +
+               static_cast<std::size_t>((v >> shift) - kSub);
+    }
+    /// Smallest value of bucket `b`, and how many values it spans.
+    [[nodiscard]] static constexpr std::uint64_t bucket_lower(
+        std::size_t b) noexcept {
+        return b < kSub ? b : (kSub + b % kSub) * bucket_width(b);
+    }
+    [[nodiscard]] static constexpr std::uint64_t bucket_width(
+        std::size_t b) noexcept {
+        return b < 2 * kSub ? 1 : std::uint64_t{1} << (b / kSub - 1);
+    }
+
+    std::vector<std::uint64_t> buckets;  ///< empty until a sample lands
     std::uint64_t count = 0;
     std::uint64_t sum = 0;
-
-    HistogramSnapshot& operator+=(const HistogramSnapshot& o) noexcept {
-        for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
-            buckets[i] += o.buckets[i];
-        }
-        count += o.count;
-        sum += o.sum;
-        return *this;
-    }
 
     [[nodiscard]] double mean() const noexcept {
         return count == 0 ? 0.0
                           : static_cast<double>(sum) /
                                 static_cast<double>(count);
     }
-
-    /// Inclusive upper bound of the bucket containing the p-th percentile
-    /// (p in [0, 1]); 0 when empty. Log2 buckets make this accurate to a
-    /// factor of two — the resolution the paper's latency plots need.
-    [[nodiscard]] std::uint64_t percentile(double p) const noexcept;
+    /// Nearest-rank quantile (q in [0, 1]) interpolated inside its bucket;
+    /// 0 when empty. Within 1/64 of the exact value on a smooth
+    /// distribution, and never off by more than its bucket's width.
+    [[nodiscard]] double quantile(double q) const noexcept;
 };
 
-/// Lock-free histogram of uint64 values in log2 buckets. Any thread may
-/// record(); snapshots may run concurrently (relaxed reads — counts of
-/// in-flight records may be missed, never torn).
-class LatencyHistogram {
+/// A latency histogram: one storage block per recording thread, allocated
+/// on its first record. reset() moves to a new epoch; each thread zeroes
+/// its own block on its next record, and snapshots skip stale blocks.
+class Histogram {
   public:
-    /// Bucket index for a value: 0 for 0, else bit_width(v) (v in
-    /// [2^(i-1), 2^i) has bit width i).
-    [[nodiscard]] static std::size_t bucket_of(std::uint64_t v) noexcept {
-        return static_cast<std::size_t>(std::bit_width(v));
-    }
-    /// Inclusive upper bound of bucket `b` (0 for bucket 0).
-    [[nodiscard]] static std::uint64_t bucket_limit(std::size_t b) noexcept {
-        if (b == 0) {
-            return 0;
-        }
-        return b >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << b) - 1;
-    }
+    explicit Histogram(std::uint32_t slot) noexcept : slot_(slot) {}
 
-    void record(std::uint64_t v) noexcept {
-        buckets_[bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
-        count_.fetch_add(1, std::memory_order_relaxed);
-        sum_.fetch_add(v, std::memory_order_relaxed);
-    }
-
-    [[nodiscard]] HistogramSnapshot snapshot() const noexcept {
-        HistogramSnapshot s;
-        for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
-            s.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
-        }
-        s.count = count_.load(std::memory_order_relaxed);
-        s.sum = sum_.load(std::memory_order_relaxed);
-        return s;
-    }
-
-    /// Fold a snapshot taken elsewhere (another registry, another process
-    /// — bench/net_echo ships its client-side histogram over a pipe) into
-    /// this histogram. Concurrent record() calls stay safe.
-    void merge(const HistogramSnapshot& s) noexcept {
-        for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
-            if (s.buckets[i] != 0) {
-                buckets_[i].fetch_add(s.buckets[i], std::memory_order_relaxed);
-            }
-        }
-        count_.fetch_add(s.count, std::memory_order_relaxed);
-        sum_.fetch_add(s.sum, std::memory_order_relaxed);
-    }
-
-    void reset() noexcept {
-        for (auto& b : buckets_) {
-            b.store(0, std::memory_order_relaxed);
-        }
-        count_.store(0, std::memory_order_relaxed);
-        sum_.store(0, std::memory_order_relaxed);
-    }
+    void record(std::uint64_t v) noexcept;
+    /// Merged over every thread's block, or only over the threads that
+    /// last recorded a per-stream sample under `stream`.
+    [[nodiscard]] HistogramSnapshot snapshot(
+        std::optional<std::uint32_t> stream = std::nullopt) const;
+    void reset() noexcept { epoch_.fetch_add(1, std::memory_order_relaxed); }
 
   private:
-    std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets_{};
-    std::atomic<std::uint64_t> count_{0};
-    std::atomic<std::uint64_t> sum_{0};
+    std::uint32_t slot_;
+    std::atomic<std::uint64_t> epoch_{1};
 };
 
+/// An rdtsc delta in nanoseconds.
+[[nodiscard]] std::uint64_t ticks_to_ns(std::uint64_t ticks) noexcept;
+
+/// Histogram slots below this hold Metrics' per-stream unit histograms.
+inline constexpr std::uint32_t kUnitHistograms = 3;
+
+struct MetricsSnapshot;
+
 /// Process-wide registry of *named* metrics. Registration (first lookup of
-/// a name) takes a spinlock; after that callers hold a stable reference and
-/// writes are lock-free. Values survive until reset_values(); names live
-/// for the process (a registry is append-only, like Tracer's rings).
+/// a name) takes a spinlock; the references it returns stay valid for the
+/// process. Values survive until reset_values().
 class MetricsRegistry {
   public:
     static MetricsRegistry& instance();
 
     Counter& counter(std::string_view name);
     Gauge& gauge(std::string_view name);
-    LatencyHistogram& histogram(std::string_view name);
-
-    struct CounterEntry {
-        std::string name;
-        std::uint64_t value;
-    };
-    struct GaugeEntry {
-        std::string name;
-        std::int64_t value;
-        std::int64_t max;
-        std::uint64_t samples;
-    };
-    struct HistogramEntry {
-        std::string name;
-        HistogramSnapshot hist;
-    };
-
-    [[nodiscard]] std::vector<CounterEntry> counters() const;
-    [[nodiscard]] std::vector<GaugeEntry> gauges() const;
-    [[nodiscard]] std::vector<HistogramEntry> histograms() const;
+    Histogram& histogram(std::string_view name);
 
     /// Zero every registered value (names stay registered).
     void reset_values();
 
   private:
-    struct CounterCell {
+    friend MetricsSnapshot snapshot_metrics();
+
+    template <typename T>
+    struct Cell {
+        template <typename... Args>
+        explicit Cell(std::string_view n, Args... args)
+            : name(n), metric(args...) {}
         std::string name;
-        Counter counter;
-    };
-    struct GaugeCell {
-        std::string name;
-        Gauge gauge;
-    };
-    struct HistCell {
-        std::string name;
-        LatencyHistogram hist;
+        T metric;
     };
 
     MetricsRegistry() = default;
 
-    mutable sync::Spinlock lock_;
-    // deques: emplace_back never moves existing cells, so references
-    // handed out stay valid for the registry's lifetime.
-    std::deque<CounterCell> counters_;
-    std::deque<GaugeCell> gauges_;
-    std::deque<HistCell> hists_;
+    sync::Spinlock lock_;
+    std::deque<Cell<Counter>> counters_;  // deques never move their cells
+    std::deque<Cell<Gauge>> gauges_;
+    std::deque<Cell<Histogram>> hists_;
+    std::uint32_t next_cell_ = arch::telemetry::kFirstNamedCell;
+    std::uint32_t next_slot_ = kUnitHistograms;
 };
 
-/// Fold one stream's steal telemetry into the process-wide registry:
-/// "sched.steal.attempts"/"sched.steal.hits" totals plus
+/// Fold one stream's steal telemetry into the registry:
+/// "sched.steal.{attempts,hits}" plus
 /// "sched.steal.tier.<sibling|package|remote>.{attempts,hits}". XStream
-/// calls this at teardown, so the registry (and the bench harness's
-/// steal_tiers JSON block) sees every stream that ever ran, whichever
-/// personality built it.
+/// calls this at teardown, so the registry sees every stream that ever ran.
 void accumulate_sched_counters(const SchedStats& stats);
 
-/// Per-stream unit-latency snapshot (one per execution stream that ran
-/// work; stream == core::kNoStream aggregates unattached threads).
+/// Refresh the allocator gauges — alloc.slab.bytes and
+/// alloc.stack.{maps,unmaps,thp_denied} — and register the
+/// alloc.unit_cache.* counters (and, while LWT_CREATE_AUDIT has the
+/// accounting armed, create.*), which read their telemetry cells directly.
+/// Idempotent; the shutdown flush and every /metrics scrape call it.
+void publish_alloc_metrics();
+
+/// Per-stream unit-latency histograms in ns; stream == kNoStream
+/// aggregates unattached threads.
 struct StreamUnitMetrics {
     std::uint32_t stream;
-    HistogramSnapshot queue_dwell;   ///< create -> first dispatch (ticks)
-    HistogramSnapshot exec_time;     ///< dispatch -> suspend/finish (ticks)
-    HistogramSnapshot wake_latency;  ///< block -> wake (ticks)
+    HistogramSnapshot queue_dwell;   ///< create -> first dispatch
+    HistogramSnapshot exec_time;     ///< dispatch -> suspend/finish
+    HistogramSnapshot wake_latency;  ///< block -> wake
 };
 
-/// Process-wide per-unit latency recorder. Mirrors the Tracer's shape:
-/// per-OS-thread slots registered lazily, one relaxed-load guard when
-/// disabled, snapshot/merge from anywhere. Values are raw timestamp ticks
-/// (arch::rdtsc deltas); convert with tsc_ticks_per_us() for reporting.
+/// The switch for every latency stamp, and the three per-stream unit
+/// histograms. A record tags the calling thread's shard with its current
+/// stream rank, and snapshots group the shards by it.
 class Metrics {
   public:
     static Metrics& instance();
@@ -260,33 +216,71 @@ class Metrics {
         return enabled_.load(std::memory_order_relaxed);
     }
 
-    // Hook entry points; call only when enabled() (the guard is the call
-    // site's job so the disabled path stays one relaxed load).
-    void record_queue_dwell(std::uint64_t ticks);
-    void record_exec(std::uint64_t ticks);
-    void record_wake_latency(std::uint64_t ticks);
+    // Hook entry points taking rdtsc deltas; call only when enabled() (the
+    // guard is the call site's, so the disabled path stays one load).
+    void record_queue_dwell(std::uint64_t ticks) noexcept;
+    void record_exec(std::uint64_t ticks) noexcept;
+    void record_wake_latency(std::uint64_t ticks) noexcept;
 
-    /// Merged per-stream snapshots, ascending by stream rank with the
-    /// kNoStream aggregate (if any) last.
+    /// Ascending by stream rank, the kNoStream aggregate (if any) last.
     [[nodiscard]] std::vector<StreamUnitMetrics> unit_metrics() const;
-
-    /// Zero every slot's histograms (slots stay registered).
-    void reset();
+    void reset() noexcept;
 
   private:
-    struct ThreadSlot {
-        std::atomic<std::uint32_t> stream;
-        LatencyHistogram queue_dwell;
-        LatencyHistogram exec_time;
-        LatencyHistogram wake_latency;
-    };
-
     Metrics() = default;
-    ThreadSlot& slot_for_this_thread();
+    void record_unit(Histogram& h, std::uint64_t ticks) noexcept;
 
     std::atomic<bool> enabled_{false};
-    mutable sync::Spinlock lock_;
-    std::vector<std::unique_ptr<ThreadSlot>> slots_;
+    Histogram queue_dwell_{0};
+    Histogram exec_time_{1};
+    Histogram wake_latency_{2};
 };
+
+/// One live stream's state, sampled under the StreamDirectory lock. `id`
+/// (the stream's address, the watchdog's key) is valid only in a for_each.
+struct StreamSample {
+    const void* id;
+    unsigned rank;
+    bool dedicated;           ///< has its own OS thread (XStream::start)
+    std::uint64_t executed;
+    std::uint64_t progress_epoch;
+    std::uint64_t exec_start_tsc;  ///< 0 unless the watchdog is armed
+    std::size_t pool_depth;        ///< size_hint() summed over the pools
+    bool has_work;                 ///< any scheduler pool non-empty
+    SchedStats sched;
+};
+
+/// Sample every live execution stream, in directory (creation) order.
+[[nodiscard]] std::vector<StreamSample> sample_streams();
+
+/// Everything the process knows about itself at one instant.
+struct MetricsSnapshot {
+    struct CounterEntry {
+        std::string name;
+        std::uint64_t value;
+    };
+    struct GaugeEntry {
+        std::string name;
+        std::int64_t value;
+        std::int64_t max;
+    };
+    struct HistogramEntry {
+        std::string name;
+        HistogramSnapshot hist;
+    };
+    std::vector<CounterEntry> counters;
+    std::vector<GaugeEntry> gauges;
+    std::vector<HistogramEntry> histograms;
+    std::vector<StreamUnitMetrics> units;
+    std::vector<StreamSample> streams;
+
+    /// Counter `name`'s value; 0 when it is not registered.
+    [[nodiscard]] std::uint64_t counter(std::string_view name) const;
+};
+
+/// The one function that walks the registry, the shards and the stream
+/// directory: the shutdown report, metrics.json, /metrics and /stats all
+/// render what it returns.
+[[nodiscard]] MetricsSnapshot snapshot_metrics();
 
 }  // namespace lwt::core

@@ -5,16 +5,13 @@
 #include <fstream>
 #include <iostream>
 #include <mutex>
-#include <ostream>
 #include <string>
+#include <string_view>
 
-#include "arch/audit.hpp"
 #include "arch/settings.hpp"
-#include "arch/stack.hpp"
 #include "core/metrics.hpp"
 #include "core/trace.hpp"
 #include "core/trace_export.hpp"
-#include "core/unit_cache.hpp"
 
 namespace lwt::core {
 namespace {
@@ -50,7 +47,7 @@ void arm(ObsState& s, const arch::Settings& cfg) {
 }
 
 void flush(ObsState& s) {
-    publish_alloc_metrics();  // allocator totals into the registry first
+    publish_alloc_metrics();  // allocator gauges into the registry first
     if (s.trace_on) {
         const TraceStats stats = Tracer::instance().stats();
         const auto records = Tracer::instance().snapshot();
@@ -87,28 +84,86 @@ void flush(ObsState& s) {
     s.metrics_on = false;
 }
 
+/// "io.reactor.wakes" -> "lwt_io_reactor_wakes" (Prometheus name charset
+/// is [a-zA-Z0-9_:]; we map everything else to '_').
+std::string sanitize(std::string_view name) {
+    std::string out = "lwt_";
+    out.reserve(name.size() + 4);
+    for (char c : name) {
+        const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                        (c >= '0' && c <= '9') || c == '_';
+        out.push_back(ok ? c : '_');
+    }
+    return out;
+}
+
+/// The per-stream unit histograms; /metrics names them lwt_unit_<name>_ns.
+constexpr struct {
+    const char* name;
+    HistogramSnapshot StreamUnitMetrics::* field;
+} kUnitSeries[] = {
+    {"queue_dwell", &StreamUnitMetrics::queue_dwell},
+    {"exec_time", &StreamUnitMetrics::exec_time},
+    {"wake_latency", &StreamUnitMetrics::wake_latency},
+};
+
+void write_histogram(std::ostream& os, const std::string& name,
+                     const std::string& labels, const HistogramSnapshot& h) {
+    // Cumulative le-buckets over the occupied buckets; le is each bucket's
+    // inclusive upper bound, so the series is valid however many buckets
+    // we skip.
+    const std::string sep = labels.empty() ? "" : ",";
+    std::uint64_t cum = 0;
+    for (std::size_t b = 0; b < h.buckets.size(); ++b) {
+        if (h.buckets[b] == 0) {
+            continue;
+        }
+        cum += h.buckets[b];
+        const std::uint64_t le = HistogramSnapshot::bucket_lower(b) +
+                                 (HistogramSnapshot::bucket_width(b) - 1);
+        os << name << "_bucket{" << labels << sep << "le=\"" << le << "\"} "
+           << cum << "\n";
+    }
+    os << name << "_bucket{" << labels << sep << "le=\"+Inf\"} " << h.count
+       << "\n";
+    const std::string braced = labels.empty() ? "" : "{" + labels + "}";
+    os << name << "_sum" << braced << " " << h.sum << "\n";
+    os << name << "_count" << braced << " " << h.count << "\n";
+}
+
 void print_histogram_row(std::ostream& os, const char* label,
-                         const HistogramSnapshot& h, double ticks_per_us) {
+                         const HistogramSnapshot& h) {
     char line[160];
     std::snprintf(line, sizeof(line),
-                  "    %-12s n=%-10" PRIu64 " mean=%10.2fus p50=%10.2fus "
-                  "p99=%10.2fus",
-                  label, h.count, h.mean() / ticks_per_us,
-                  static_cast<double>(h.percentile(0.50)) / ticks_per_us,
-                  static_cast<double>(h.percentile(0.99)) / ticks_per_us);
+                  "    %-12s n=%-10" PRIu64 " mean=%12.0fns p50=%12.0fns "
+                  "p99=%12.0fns",
+                  label, h.count, h.mean(), h.quantile(0.50),
+                  h.quantile(0.99));
     os << line << "\n";
 }
 
-void append_histogram_json(std::string& out, const char* name,
-                           const HistogramSnapshot& h, double ticks_per_us) {
+void histogram_json(std::ostream& os, const char* name,
+                    const HistogramSnapshot& h) {
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "{\"name\":\"%s\",\"count\":%" PRIu64
-                  ",\"mean_us\":%.3f,\"p50_us\":%.3f,\"p99_us\":%.3f}",
-                  name, h.count, h.mean() / ticks_per_us,
-                  static_cast<double>(h.percentile(0.50)) / ticks_per_us,
-                  static_cast<double>(h.percentile(0.99)) / ticks_per_us);
-    out += buf;
+                  ",\"mean_ns\":%.1f,\"p50_ns\":%.1f,\"p99_ns\":%.1f}",
+                  name, h.count, h.mean(), h.quantile(0.50),
+                  h.quantile(0.99));
+    os << buf;
+}
+
+/// `items` rendered by `fn`, comma-separated, in an object or an array.
+template <typename Items, typename Fn>
+void json_list(std::ostream& os, char open, const Items& items, Fn fn) {
+    os << open;
+    const char* sep = "";
+    for (const auto& item : items) {
+        os << sep;
+        sep = ",";
+        fn(item);
+    }
+    os << (open == '[' ? ']' : '}');
 }
 
 }  // namespace
@@ -137,146 +192,167 @@ bool observability_armed() noexcept {
 }
 
 void print_metrics_report(std::ostream& os) {
-    const double tpu = tsc_ticks_per_us();
+    const MetricsSnapshot snap = snapshot_metrics();
     os << "== lwt metrics "
           "==========================================================\n";
 
     const TraceStats ts = Tracer::instance().stats();
     os << "trace events:";
     for (std::size_t i = 0; i < kTraceEventKinds; ++i) {
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), " %s=%" PRIu64,
-                      std::string(trace_event_name(
-                                      static_cast<TraceEvent>(i)))
-                          .c_str(),
-                      ts.counts[i]);
-        os << buf;
+        os << " " << trace_event_name(static_cast<TraceEvent>(i)) << "="
+           << ts.counts[i];
     }
-    {
-        char buf[48];
-        std::snprintf(buf, sizeof(buf), " dropped=%" PRIu64 "\n", ts.dropped);
-        os << buf;
-    }
+    os << " dropped=" << ts.dropped << "\n";
 
-    os << "per-stream unit latency (tsc at " << tpu << " ticks/us):\n";
-    for (const StreamUnitMetrics& m : Metrics::instance().unit_metrics()) {
+    os << "per-stream unit latency:\n";
+    for (const StreamUnitMetrics& m : snap.units) {
         if (m.stream == kNoStream) {
             os << "  external threads:\n";
         } else {
             os << "  stream " << m.stream << ":\n";
         }
-        print_histogram_row(os, "queue-dwell", m.queue_dwell, tpu);
-        print_histogram_row(os, "exec", m.exec_time, tpu);
-        print_histogram_row(os, "wake-latency", m.wake_latency, tpu);
+        for (const auto& s : kUnitSeries) {
+            print_histogram_row(os, s.name, m.*(s.field));
+        }
     }
-
-    const auto counters = MetricsRegistry::instance().counters();
-    if (!counters.empty()) {
+    if (!snap.counters.empty()) {
         os << "counters:\n";
-        for (const auto& c : counters) {
+        for (const auto& c : snap.counters) {
             os << "    " << c.name << "=" << c.value << "\n";
         }
     }
-    const auto gauges = MetricsRegistry::instance().gauges();
-    if (!gauges.empty()) {
+    if (!snap.gauges.empty()) {
         os << "gauges:\n";
-        for (const auto& g : gauges) {
+        for (const auto& g : snap.gauges) {
             os << "    " << g.name << "=" << g.value << " (max=" << g.max
-               << ", samples=" << g.samples << ")\n";
+               << ")\n";
         }
     }
-    for (const auto& h : MetricsRegistry::instance().histograms()) {
-        print_histogram_row(os, h.name.c_str(), h.hist, tpu);
+    for (const auto& h : snap.histograms) {
+        print_histogram_row(os, h.name.c_str(), h.hist);
     }
     os << "==========================================================="
           "=======\n";
     os.flush();
 }
 
-void publish_alloc_metrics() {
-    MetricsRegistry& reg = MetricsRegistry::instance();
-    const auto set_counter = [&reg](const char* name, std::uint64_t v) {
-        Counter& c = reg.counter(name);
-        c.reset();
-        c.inc(v);
-    };
-    const UnitCacheTotals t = unit_cache_totals();
-    set_counter("alloc.unit_cache.allocs", t.allocs);
-    set_counter("alloc.unit_cache.hits", t.hits);
-    set_counter("alloc.unit_cache.misses", t.misses);
-    reg.gauge("alloc.slab.bytes").set(static_cast<std::int64_t>(t.slab_bytes));
-    reg.gauge("alloc.stack.maps")
-        .set(static_cast<std::int64_t>(arch::stack_map_count()));
-    reg.gauge("alloc.stack.unmaps")
-        .set(static_cast<std::int64_t>(arch::stack_unmap_count()));
-    reg.gauge("alloc.stack.thp_denied")
-        .set(static_cast<std::int64_t>(arch::stack_thp_denied_count()));
-    if (arch::audit::enabled()) {
-        const arch::audit::Snapshot a = arch::audit::snapshot();
-        set_counter("create.count", t.allocs);
-        set_counter("create.atomics", a.rmw);
-        set_counter("create.alloc_ticks", a.alloc_ticks);
-        set_counter("create.alloc_samples", a.alloc_samples);
-    }
+bool write_metrics_json(const std::string& path) {
+    const MetricsSnapshot snap = snapshot_metrics();
+    std::ofstream os(path, std::ios::out | std::ios::trunc);
+    os << "{\"streams\":";
+    json_list(os, '[', snap.units, [&os](const StreamUnitMetrics& m) {
+        os << "{\"stream\":"
+           << (m.stream == kNoStream ? "null" : std::to_string(m.stream));
+        for (const auto& s : kUnitSeries) {
+            os << ",\"" << s.name << "\":";
+            histogram_json(os, s.name, m.*(s.field));
+        }
+        os << '}';
+    });
+    os << ",\"counters\":";
+    json_list(os, '{', snap.counters, [&os](const auto& c) {
+        os << '"' << c.name << "\":" << c.value;
+    });
+    os << ",\"gauges\":";
+    json_list(os, '{', snap.gauges, [&os](const auto& g) {
+        os << '"' << g.name << "\":{\"value\":" << g.value
+           << ",\"max\":" << g.max << '}';
+    });
+    os << ",\"histograms\":";
+    json_list(os, '{', snap.histograms, [&os](const auto& h) {
+        os << '"' << h.name << "\":";
+        histogram_json(os, h.name.c_str(), h.hist);
+    });
+    os << "}\n";
+    os.flush();
+    return os.good();
 }
 
-bool write_metrics_json(const std::string& path) {
-    const double tpu = tsc_ticks_per_us();
-    std::string out = "{\"streams\":[";
-    bool first = true;
-    for (const StreamUnitMetrics& m : Metrics::instance().unit_metrics()) {
-        if (!first) {
-            out += ",";
-        }
-        first = false;
-        out += "{\"stream\":";
-        out += m.stream == kNoStream ? "null" : std::to_string(m.stream);
-        out += ",\"queue_dwell\":";
-        append_histogram_json(out, "queue_dwell", m.queue_dwell, tpu);
-        out += ",\"exec_time\":";
-        append_histogram_json(out, "exec_time", m.exec_time, tpu);
-        out += ",\"wake_latency\":";
-        append_histogram_json(out, "wake_latency", m.wake_latency, tpu);
-        out += "}";
+void write_prometheus_text(std::ostream& os) {
+    publish_alloc_metrics();  // allocator gauges refresh on every scrape
+    const MetricsSnapshot snap = snapshot_metrics();
+    for (const auto& c : snap.counters) {
+        const std::string name = sanitize(c.name);
+        os << "# TYPE " << name << " counter\n";
+        os << name << " " << c.value << "\n";
     }
-    out += "],\"counters\":{";
-    first = true;
-    for (const auto& c : MetricsRegistry::instance().counters()) {
-        if (!first) {
-            out += ",";
-        }
-        first = false;
-        out += "\"" + c.name + "\":" + std::to_string(c.value);
+    for (const auto& g : snap.gauges) {
+        const std::string name = sanitize(g.name);
+        os << "# TYPE " << name << " gauge\n";
+        os << name << " " << g.value << "\n";
+        os << "# TYPE " << name << "_max gauge\n";
+        os << name << "_max " << g.max << "\n";
     }
-    out += "},\"gauges\":{";
-    first = true;
-    for (const auto& g : MetricsRegistry::instance().gauges()) {
-        if (!first) {
-            out += ",";
-        }
-        first = false;
-        out += "\"" + g.name + "\":{\"value\":" + std::to_string(g.value) +
-               ",\"max\":" + std::to_string(g.max) + "}";
+    for (const auto& h : snap.histograms) {
+        const std::string name = sanitize(h.name);
+        os << "# TYPE " << name << " histogram\n";
+        write_histogram(os, name, "", h.hist);
     }
-    out += "},\"histograms\":{";
-    first = true;
-    for (const auto& h : MetricsRegistry::instance().histograms()) {
-        if (!first) {
-            out += ",";
-        }
-        first = false;
-        out += "\"" + h.name + "\":";
-        append_histogram_json(out, h.name.c_str(), h.hist, tpu);
-    }
-    out += "}}\n";
 
-    std::ofstream file(path, std::ios::out | std::ios::trunc);
-    if (!file.is_open()) {
-        return false;
+    // Per-stream unit-latency histograms (only populated when LWT_METRICS
+    // is on; empty histograms still render a valid +Inf/sum/count triple).
+    if (!snap.units.empty()) {
+        for (const auto& s : kUnitSeries) {
+            const std::string name = std::string("lwt_unit_") + s.name + "_ns";
+            os << "# TYPE " << name << " histogram\n";
+            for (const auto& u : snap.units) {
+                const std::string stream = u.stream == kNoStream
+                                               ? "external"
+                                               : std::to_string(u.stream);
+                write_histogram(os, name, "stream=\"" + stream + "\"",
+                                u.*(s.field));
+            }
+        }
     }
-    file << out;
-    file.flush();
-    return file.good();
+
+    // Live streams: counters the registry only learns about at stream
+    // teardown. The `stream` label is the directory position (unique while
+    // the process runs several runtimes whose ranks overlap); `rank` is
+    // the stream's rank within its own runtime.
+    const auto& streams = snap.streams;
+    if (streams.empty()) {
+        return;
+    }
+    const auto series = [&os, &streams](const char* name, const char* type,
+                                        auto value) {
+        os << "# TYPE " << name << " " << type << "\n";
+        for (std::size_t i = 0; i < streams.size(); ++i) {
+            os << name << "{stream=\"" << i << "\",rank=\""
+               << streams[i].rank << "\"} " << value(streams[i]) << "\n";
+        }
+    };
+    series("lwt_stream_executed", "counter",
+           [](const StreamSample& s) { return s.executed; });
+    series("lwt_stream_progress_epoch", "counter",
+           [](const StreamSample& s) { return s.progress_epoch; });
+    series("lwt_stream_pool_depth", "gauge",
+           [](const StreamSample& s) { return s.pool_depth; });
+    series("lwt_stream_steal_attempts", "counter",
+           [](const StreamSample& s) { return s.sched.steal_attempts; });
+    series("lwt_stream_steal_hits", "counter",
+           [](const StreamSample& s) { return s.sched.steal_hits; });
+    series("lwt_stream_idle_spins", "counter",
+           [](const StreamSample& s) { return s.sched.idle_spins; });
+    series("lwt_stream_idle_yields", "counter",
+           [](const StreamSample& s) { return s.sched.idle_yields; });
+    series("lwt_stream_parks", "counter",
+           [](const StreamSample& s) { return s.sched.parks; });
+    for (const char* dir : {"attempts", "hits"}) {
+        const bool hits = std::string_view(dir) == "hits";
+        const std::string name =
+            std::string("lwt_stream_steal_tier_") + dir;
+        os << "# TYPE " << name << " counter\n";
+        for (std::size_t i = 0; i < streams.size(); ++i) {
+            for (std::size_t t = 0; t < kStealTiers; ++t) {
+                os << name << "{stream=\"" << i << "\",rank=\""
+                   << streams[i].rank << "\",tier=\"" << steal_tier_name(t)
+                   << "\"} "
+                   << (hits ? streams[i].sched.tier_hits[t]
+                            : streams[i].sched.tier_attempts[t])
+                   << "\n";
+            }
+        }
+    }
 }
 
 }  // namespace lwt::core

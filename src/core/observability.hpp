@@ -11,14 +11,16 @@
 //
 //   LWT_TRACE=out.json      record unit lifecycles, write a Chrome-trace
 //                           JSON (Perfetto / chrome://tracing) at shutdown
-//   LWT_METRICS=1           record unit-latency histograms; print the
-//                           per-stream table to stderr at shutdown
+//   LWT_METRICS=1           record latency histograms; print the report
+//                           to stderr at shutdown
 //   LWT_METRICS=out.json    same, plus a machine-readable JSON dump
 //
 // Runtimes nest (glt -> personality -> core::Runtime); the refcount makes
 // the flush fire exactly once per quiescent period, after the outermost
 // teardown. Repeated boot/teardown cycles (bench sweeps) re-arm, re-record
 // and re-flush; the trace file reflects the last cycle.
+// The sinks below (and /stats in src/obs/introspect.cpp) only render
+// core::snapshot_metrics().
 #pragma once
 
 #include <iosfwd>
@@ -38,22 +40,18 @@ class ObservabilitySession {
 /// recorders armed: from the outermost attach to the last detach.
 bool observability_armed() noexcept;
 
-/// Render the human-readable metrics report (per-stream latency
-/// histograms, registry counters/gauges, trace event counts) to `os`.
-/// What LWT_METRICS=1 prints to stderr at shutdown.
+/// The human-readable report: trace event counts, per-stream unit latency,
+/// registry counters, gauges and histograms. What LWT_METRICS=1 prints to
+/// stderr at shutdown.
 void print_metrics_report(std::ostream& os);
 
-/// Write the machine-readable metrics dump (same content as the report)
-/// as JSON. Returns false on IO failure.
+/// The same content as JSON. Returns false on IO failure.
 bool write_metrics_json(const std::string& path);
 
-/// Snapshot the allocator-layer totals into the MetricsRegistry:
-/// alloc.unit_cache.{allocs,hits,misses} counters, alloc.slab.bytes and
-/// alloc.stack.{maps,unmaps,thp_denied} gauges, plus — when
-/// LWT_CREATE_AUDIT armed the accounting mode — create.count,
-/// create.atomics and create.alloc_ticks/samples. The sources are
-/// process-lifetime shard sums, so publishing is idempotent (set, not
-/// add); the shutdown flush and every /metrics scrape call this.
-void publish_alloc_metrics();
+/// The Prometheus text exposition (served on /metrics): registry metrics
+/// as `lwt_<name>`, per-stream unit histograms `lwt_unit_*_ns{stream=..}`
+/// and live `lwt_stream_*{stream=..}` series; histogram buckets render
+/// cumulatively, one per occupied bucket, plus `+Inf`.
+void write_prometheus_text(std::ostream& os);
 
 }  // namespace lwt::core

@@ -33,11 +33,6 @@ void StreamDirectory::remove(XStream* stream) {
                    streams_.end());
 }
 
-std::size_t StreamDirectory::size() const {
-    std::lock_guard guard(lock_);
-    return streams_.size();
-}
-
 void StreamDirectory::for_each(
     const std::function<void(XStream&)>& fn) const {
     std::lock_guard guard(lock_);

@@ -30,10 +30,6 @@ class StreamDirectory {
     void add(XStream* stream);
     void remove(XStream* stream);
 
-    /// Number of live streams right now (approximate the instant it
-    /// returns).
-    [[nodiscard]] std::size_t size() const;
-
     /// Visit every live stream under the directory lock: pointers are
     /// valid for the duration of the visit. `fn` must not register or
     /// unregister streams (deadlock) and should stay short — stream

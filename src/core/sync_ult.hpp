@@ -10,8 +10,8 @@
 // The whole family shares the waiter machinery in core/waiter.hpp:
 // allocation-free intrusive stack-node queues with the PR-5 EventCounter
 // lifetime discipline, Mesa-style wakeups (a woken waiter re-contends, so
-// condition waits need predicate loops), and wake-latency telemetry in the
-// "sync.wake_latency_ticks" registry histogram. docs/sync.md is the
+// condition waits need predicate loops), and block->resume telemetry in
+// the "sync.block_resume_ns" registry histogram. docs/sync.md is the
 // catalogue; docs/join_path.md describes the underlying handshake.
 #pragma once
 

@@ -1,9 +1,9 @@
 #include "core/trace.hpp"
 
 #include <algorithm>
-#include <mutex>
 
 #include "arch/cpu.hpp"
+#include "arch/telemetry.hpp"
 
 namespace lwt::core {
 namespace {
@@ -37,14 +37,20 @@ Tracer& Tracer::instance() {
 }
 
 Tracer::Ring& Tracer::ring_for_this_thread() {
-    thread_local Ring* tl_ring = nullptr;
-    if (tl_ring == nullptr) {
-        auto ring = std::make_unique<Ring>();
-        tl_ring = ring.get();
-        std::lock_guard g(registry_lock_);
-        rings_.push_back(std::move(ring));
+    std::atomic<void*>& ring = arch::telemetry::this_shard().trace_ring;
+    if (ring.load(std::memory_order_relaxed) == nullptr) {
+        ring.store(new Ring, std::memory_order_release);  // kept by the shard
     }
-    return *tl_ring;
+    return *static_cast<Ring*>(ring.load(std::memory_order_relaxed));
+}
+
+template <typename Fn>
+void Tracer::for_each_ring(Fn fn) {
+    arch::telemetry::for_each_shard([&fn](const arch::telemetry::Shard& s) {
+        if (void* ring = s.trace_ring.load(std::memory_order_acquire)) {
+            fn(*static_cast<Ring*>(ring));
+        }
+    });
 }
 
 void Tracer::record_slow(TraceEvent event, const void* unit) {
@@ -80,38 +86,33 @@ bool Tracer::read_slot(const Slot& slot, TraceRecord& out) noexcept {
 
 TraceStats Tracer::stats() const {
     TraceStats out;
-    std::lock_guard g(registry_lock_);
-    for (const auto& ring : rings_) {
-        const std::uint64_t next =
-            ring->next.load(std::memory_order_acquire);
+    for_each_ring([&out](const Ring& ring) {
+        const std::uint64_t next = ring.next.load(std::memory_order_acquire);
         const std::uint64_t n = std::min<std::uint64_t>(next, kRingCapacity);
         out.dropped += next > kRingCapacity ? next - kRingCapacity : 0;
         for (std::uint64_t i = 0; i < n; ++i) {
             TraceRecord rec;
-            if (read_slot(ring->slots[i], rec)) {
+            if (read_slot(ring.slots[i], rec)) {
                 ++out.counts[static_cast<std::size_t>(rec.event)];
             }
         }
-    }
+    });
     return out;
 }
 
 std::vector<TraceRecord> Tracer::snapshot() const {
     std::vector<TraceRecord> out;
-    {
-        std::lock_guard g(registry_lock_);
-        for (const auto& ring : rings_) {
-            const std::uint64_t n = std::min<std::uint64_t>(
-                ring->next.load(std::memory_order_acquire), kRingCapacity);
-            out.reserve(out.size() + n);
-            for (std::uint64_t i = 0; i < n; ++i) {
-                TraceRecord rec;
-                if (read_slot(ring->slots[i], rec)) {
-                    out.push_back(rec);
-                }
+    for_each_ring([&out](const Ring& ring) {
+        const std::uint64_t n = std::min<std::uint64_t>(
+            ring.next.load(std::memory_order_acquire), kRingCapacity);
+        out.reserve(out.size() + n);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            TraceRecord rec;
+            if (read_slot(ring.slots[i], rec)) {
+                out.push_back(rec);
             }
         }
-    }
+    });
     // Stable sort: records were appended per-ring in program order, so
     // equal timestamps (coarse counters; rdtsc()==0 on non-x86 builds)
     // keep their within-thread order instead of being shuffled.
@@ -123,11 +124,9 @@ std::vector<TraceRecord> Tracer::snapshot() const {
 }
 
 void Tracer::clear() {
-    std::lock_guard g(registry_lock_);
-    for (auto& ring : rings_) {
-        // Resetting `next` also zeroes the derived dropped count.
-        ring->next.store(0, std::memory_order_release);
-    }
+    // Resetting `next` also zeroes the derived dropped count.
+    for_each_ring(
+        [](Ring& ring) { ring.next.store(0, std::memory_order_release); });
 }
 
 }  // namespace lwt::core

@@ -16,11 +16,8 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string_view>
 #include <vector>
-
-#include "sync/spinlock.hpp"
 
 namespace lwt::core {
 
@@ -50,9 +47,9 @@ struct TraceRecord {
 inline constexpr std::uint32_t kNoStream = 0xffffffffu;
 
 /// Declare the execution-stream rank of the calling OS thread; recorded
-/// into every subsequent TraceRecord (and picked up by Metrics' per-stream
-/// slots). XStream sets this on loop entry / attach_caller; pass kNoStream
-/// to detach.
+/// into every subsequent TraceRecord (and tagged onto the thread's
+/// telemetry shard by Metrics' per-stream records). XStream sets this on
+/// loop entry / attach_caller; pass kNoStream to detach.
 void set_this_thread_stream(std::uint32_t rank) noexcept;
 [[nodiscard]] std::uint32_t this_thread_stream() noexcept;
 
@@ -131,13 +128,15 @@ class Tracer {
 
     Tracer() = default;
     void record_slow(TraceEvent event, const void* unit);
-    Ring& ring_for_this_thread();
+    /// The calling thread's ring, kept in its telemetry shard.
+    static Ring& ring_for_this_thread();
+    /// Visit every thread's ring (arch::telemetry::for_each_shard).
+    template <typename Fn>
+    static void for_each_ring(Fn fn);
     /// Seqlock-guarded read of one slot; false when the writer is mid-way.
     static bool read_slot(const Slot& slot, TraceRecord& out) noexcept;
 
     std::atomic<bool> enabled_{false};
-    mutable sync::Spinlock registry_lock_;
-    std::vector<std::unique_ptr<Ring>> rings_;
 };
 
 }  // namespace lwt::core

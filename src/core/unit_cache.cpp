@@ -1,5 +1,6 @@
 #include "core/unit_cache.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
@@ -8,6 +9,7 @@
 
 #include "arch/audit.hpp"
 #include "arch/cpu.hpp"
+#include "arch/telemetry.hpp"
 #include "core/xstream.hpp"
 #include "sync/spinlock.hpp"
 
@@ -67,43 +69,15 @@ Global& global() {
     return *g;
 }
 
-// Lifetime per-thread stats. Shards are leaked and stay registered after
-// their thread exits so unit_cache_totals() is a true process total; the
-// increments are single-writer relaxed stores (no RMW — this is the create
-// path whose atomics we are dieting).
-struct StatShard {
-    std::atomic<std::uint64_t> allocs{0};
-    std::atomic<std::uint64_t> misses{0};  // served by a fresh-carved block
-};
-
-struct StatRegistry {
-    sync::Spinlock lock;
-    std::vector<StatShard*> shards;
-};
-
-StatRegistry& stat_registry() {
-    static StatRegistry* r = new StatRegistry;
-    return *r;
-}
-
-inline void bump(std::atomic<std::uint64_t>& c, std::uint64_t n = 1) noexcept {
-    c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
-}
-
 struct ThreadCache {
     Magazine* cur[kNumClasses] = {};
     Magazine* prev[kNumClasses] = {};
-    StatShard* stats = nullptr;
+    // Claimed during construction, so the shard's release at thread exit
+    // runs after this cache's destructor: it stays this thread's shard.
+    arch::telemetry::Shard& stats = arch::telemetry::this_shard();
     // Domain of the last depot trip: the hot path never queries placement,
     // and the thread-exit drain happens after the stream TLS may be gone.
     std::size_t last_domain = 0;
-
-    ThreadCache() {
-        stats = new StatShard;  // leaked (see StatRegistry)
-        StatRegistry& r = stat_registry();
-        std::lock_guard guard(r.lock);
-        r.shards.push_back(stats);
-    }
 
     ~ThreadCache() {
         Global& g = global();
@@ -154,7 +128,8 @@ void carve_into(DomainDepot& d, std::size_t c, Magazine& m) {
             // call is once per kSlabBytes of live descriptors.
             d.carve = static_cast<char*>(::operator new(kSlabBytes));
             d.carve_end = d.carve + kSlabBytes;
-            bump(global().slab_bytes, kSlabBytes);
+            global().slab_bytes.fetch_add(kSlabBytes,
+                                          std::memory_order_relaxed);
         }
         m.blocks[m.count++] = d.carve;
         d.carve += block;
@@ -231,7 +206,6 @@ void* unit_cache_alloc(std::size_t size) {
     const std::uint64_t t0 = audited ? arch::rdtsc() : 0;
     const std::size_t c = class_index(size);
     ThreadCache& tc = thread_cache();
-    bump(tc.stats->allocs);
     Magazine* m = tc.cur[c];
     if (m == nullptr || m->count == 0) {
         if (tc.prev[c] != nullptr && tc.prev[c]->count > 0) {
@@ -245,10 +219,10 @@ void* unit_cache_alloc(std::size_t size) {
         m = tc.cur[c];
     }
     void* p = m->blocks[--m->count];
-    if (m->count < m->fresh) {
-        m->fresh = m->count;
-        bump(tc.stats->misses);
-    }
+    tc.stats.add(arch::telemetry::kUnitCacheAllocs);
+    tc.stats.add(m->count < m->fresh ? arch::telemetry::kUnitCacheMisses
+                                     : arch::telemetry::kUnitCacheHits);
+    m->fresh = std::min(m->fresh, m->count);
     if (audited) {
         arch::audit::count_alloc_ticks(arch::rdtsc() - t0);
     }
@@ -298,27 +272,8 @@ std::size_t unit_cache_num_domains() noexcept {
 
 std::size_t unit_cache_magazine_cap() noexcept { return kMagazineCap; }
 
-std::uint64_t unit_cache_hits() noexcept {
-    const StatShard& s = *thread_cache().stats;
-    return s.allocs.load(std::memory_order_relaxed) -
-           s.misses.load(std::memory_order_relaxed);
-}
-
-std::uint64_t unit_cache_allocs() noexcept {
-    return thread_cache().stats->allocs.load(std::memory_order_relaxed);
-}
-
-UnitCacheTotals unit_cache_totals() noexcept {
-    UnitCacheTotals t;
-    StatRegistry& r = stat_registry();
-    std::lock_guard guard(r.lock);
-    for (const StatShard* s : r.shards) {
-        t.allocs += s->allocs.load(std::memory_order_relaxed);
-        t.misses += s->misses.load(std::memory_order_relaxed);
-    }
-    t.hits = t.allocs - t.misses;
-    t.slab_bytes = global().slab_bytes.load(std::memory_order_relaxed);
-    return t;
+std::uint64_t unit_cache_slab_bytes() noexcept {
+    return global().slab_bytes.load(std::memory_order_relaxed);
 }
 
 }  // namespace lwt::core

@@ -52,22 +52,9 @@ void unit_cache_configure_domains(std::size_t num_domains) noexcept;
 /// Blocks per magazine (the depot-lock amortisation factor; tests).
 [[nodiscard]] std::size_t unit_cache_magazine_cap() noexcept;
 
-/// Calling thread's freelist hits / total allocations (diagnostics/tests).
-/// A "hit" is any allocation served without carving fresh slab space.
-[[nodiscard]] std::uint64_t unit_cache_hits() noexcept;
-[[nodiscard]] std::uint64_t unit_cache_allocs() noexcept;
-
-/// Process-wide totals over every thread that ever allocated (exited
-/// threads included). hits == allocs - misses (a miss is an allocation
-/// served by a fresh-carved slab block); slab_bytes is the arena
-/// footprint. Observability folds these into the MetricsRegistry
-/// (alloc.unit_cache.*) at flush and on /metrics scrapes.
-struct UnitCacheTotals {
-    std::uint64_t allocs = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t slab_bytes = 0;
-};
-[[nodiscard]] UnitCacheTotals unit_cache_totals() noexcept;
+/// Bytes of slab arena carved so far (alloc.slab.bytes). The allocation
+/// counts are the alloc.unit_cache.{allocs,hits,misses} registry counters:
+/// hits == allocs - misses, a miss being a block carved fresh from a slab.
+[[nodiscard]] std::uint64_t unit_cache_slab_bytes() noexcept;
 
 }  // namespace lwt::core

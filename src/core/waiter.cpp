@@ -18,10 +18,12 @@ void record_sync_suspend() noexcept {
     suspends.inc();
 }
 
-void record_sync_wake(std::uint64_t ticks) noexcept {
-    static LatencyHistogram& hist =
-        MetricsRegistry::instance().histogram("sync.wake_latency_ticks");
-    hist.record(ticks);
+/// One block->resume sample: from the stamp SyncBlocker::prepare (or the
+/// WaitTable park) took to the moment the waiter runs again.
+void record_sync_block_resume(std::uint64_t ticks) noexcept {
+    static Histogram& hist =
+        MetricsRegistry::instance().histogram("sync.block_resume_ns");
+    hist.record(ticks_to_ns(ticks));
 }
 
 /// Thread-side wait used by both SyncBlocker and (via the installed hooks)
@@ -68,7 +70,7 @@ constexpr sync::UltWaitOps kWaitOps{
     &hook_current,  &hook_arm,
     &hook_cancel,   &hook_suspend,
     &hook_wake,     &hook_thread_wait,
-    &hook_metrics_enabled, &record_sync_wake,
+    &hook_metrics_enabled, &record_sync_block_resume,
     &record_sync_suspend,
 };
 
@@ -132,7 +134,7 @@ void SyncBlocker::wait() noexcept {
         thread_wait_impl(*parker_, stream_);
     }
     if (node_ != nullptr && node_->block_tsc != 0) {
-        record_sync_wake(arch::rdtsc() - node_->block_tsc);
+        record_sync_block_resume(arch::rdtsc() - node_->block_tsc);
     }
 }
 

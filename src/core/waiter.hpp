@@ -20,10 +20,11 @@
 //   * wakers read a node's `next` BEFORE waking it — the woken context may
 //     unwind and destroy the node immediately.
 //
-// Wake-latency observability: when Metrics is enabled, prepare() stamps the
-// node and wait() records the park->wake delta into the registry histogram
-// "sync.wake_latency_ticks" (plus the "sync.suspends" counter) — the CI
-// sync-smoke leg asserts these are nonzero under contention.
+// Block->resume observability: when Metrics is enabled, prepare() stamps
+// the node and wait() records the delta to its resume, in ns, into the
+// registry histogram "sync.block_resume_ns" (plus the "sync.suspends"
+// counter) — the CI sync-smoke leg asserts these are nonzero under
+// contention.
 #pragma once
 
 #include <cstdint>

@@ -40,9 +40,9 @@ Error error_from_wait(IoStatus s) {
 }
 
 void record_req_latency(std::uint64_t ticks) {
-    static core::LatencyHistogram& hist =
-        core::MetricsRegistry::instance().histogram("io.req_latency_ticks");
-    hist.record(ticks);
+    static core::Histogram& hist =
+        core::MetricsRegistry::instance().histogram("io.req_latency_ns");
+    hist.record(core::ticks_to_ns(ticks));
 }
 
 }  // namespace

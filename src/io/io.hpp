@@ -15,7 +15,7 @@
 // before releasing the descriptor.
 //
 // Per-request latency: when metrics are on, request/response helpers feed
-// the "io.req_latency_ticks" registry histogram (bench/net_echo.cpp).
+// the "io.req_latency_ns" registry histogram (bench/net_echo.cpp).
 #pragma once
 
 #include <chrono>
@@ -236,7 +236,7 @@ void sleep_until(Deadline d);
 
 /// Echo-style request/response helper: write_all(payload) then
 /// read_exact(payload-sized reply), recording the round trip into the
-/// "io.req_latency_ticks" histogram when metrics are enabled.
+/// "io.req_latency_ns" histogram when metrics are enabled.
 Result<void> request_reply(Socket& s, const void* out, void* in,
                            std::size_t len, Deadline d = {});
 

@@ -12,7 +12,7 @@
 
 #include "arch/settings.hpp"
 #include "core/metrics.hpp"
-#include "core/metrics_text.hpp"
+#include "core/observability.hpp"
 #include "core/scheduler.hpp"
 #include "core/stream_dir.hpp"
 #include "core/trace.hpp"
@@ -37,10 +37,13 @@ void json_kv(std::ostream& os, const char* key, std::uint64_t v,
     os << '"' << key << "\":" << v << (comma ? "," : "");
 }
 
+/// /stats: the live streams and reactor counters of the metrics snapshot
+/// (the shape tools/lwt_top.py reads), plus the watchdog report.
 std::string stats_json() {
+    const core::MetricsSnapshot snap = core::snapshot_metrics();
+    const auto& streams = snap.streams;
     std::ostringstream os;
     os << "{\"streams\":[";
-    const auto streams = core::sample_streams();
     for (std::size_t i = 0; i < streams.size(); ++i) {
         const auto& s = streams[i];
         if (i != 0) {
@@ -76,11 +79,10 @@ std::string stats_json() {
         json_kv(os, "park_timeouts", s.sched.park_timeouts, false);
         os << "}}";
     }
-    auto& reg = core::MetricsRegistry::instance();
     os << "],\"reactor\":{";
-    json_kv(os, "wakes", reg.counter("io.reactor.wakes").value());
-    json_kv(os, "polls", reg.counter("io.reactor.polls").value());
-    json_kv(os, "timer_fires", reg.counter("io.timer.fires").value(), false);
+    json_kv(os, "wakes", snap.counter("io.reactor.wakes"));
+    json_kv(os, "polls", snap.counter("io.reactor.polls"));
+    json_kv(os, "timer_fires", snap.counter("io.timer.fires"), false);
     os << "},\"watchdog\":";
     if (Watchdog* wd = active_watchdog()) {
         const auto report = wd->report();

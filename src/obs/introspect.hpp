@@ -7,7 +7,7 @@
 // threads. Endpoints:
 //
 //   /metrics     Prometheus text exposition of the full MetricsRegistry
-//                plus live per-stream scheduler series (metrics_text.hpp)
+//                plus live per-stream series (core/observability.hpp)
 //   /stats       JSON: per-stream SchedStats + steal tiers + pool depth,
 //                reactor counters, watchdog verdicts
 //   /trace?ms=N  arm a bounded trace window (1..10000 ms), stream back

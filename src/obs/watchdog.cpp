@@ -4,7 +4,6 @@
 
 #include "arch/cpu.hpp"
 #include "core/metrics.hpp"
-#include "core/metrics_text.hpp"
 #include "core/stream_dir.hpp"
 #include "core/trace.hpp"
 #include "core/trace_export.hpp"

@@ -92,7 +92,7 @@ bool WaitTable::park_if(const void* key, bool (*still_blocked)(void*),
         }
     }
     if (block_tsc != 0) {
-        ops->record_wake_latency(arch::rdtsc() - block_tsc);
+        ops->record_block_resume(arch::rdtsc() - block_tsc);
     }
     return true;
 }

@@ -56,8 +56,8 @@ struct UltWaitOps {
     void (*thread_wait)(ThreadParker& parker) noexcept;
     /// True when latency stamping is worth the rdtsc (Metrics enabled).
     bool (*metrics_enabled)() noexcept;
-    /// Record one park->wake latency (ticks) into the sync histogram.
-    void (*record_wake_latency)(std::uint64_t ticks) noexcept;
+    /// Record one park->resume latency (ticks) into the sync histogram.
+    void (*record_block_resume)(std::uint64_t ticks) noexcept;
     /// Count one suspend, called at park ENTRY (before blocking) so an
     /// observer can see waiters while they are still parked.
     void (*record_suspend)() noexcept;

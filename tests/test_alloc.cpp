@@ -20,7 +20,6 @@
 #include "arch/locality.hpp"
 #include "arch/stack.hpp"
 #include "core/metrics.hpp"
-#include "core/observability.hpp"
 #include "core/pool.hpp"
 #include "core/scheduler.hpp"
 #include "core/ult.hpp"
@@ -32,12 +31,26 @@ namespace {
 
 using namespace lwt;
 
+/// The allocator's counts, read through the registry as every sink does.
+struct UnitCacheTotals {
+    std::uint64_t allocs;
+    std::uint64_t misses;
+    std::uint64_t hits;
+};
+
+UnitCacheTotals unit_cache_totals() {
+    core::MetricsRegistry& reg = core::MetricsRegistry::instance();
+    return {reg.counter("alloc.unit_cache.allocs").value(),
+            reg.counter("alloc.unit_cache.misses").value(),
+            reg.counter("alloc.unit_cache.hits").value()};
+}
+
 // --- slab / magazine allocator ----------------------------------------------
 
 TEST(UnitCacheTest, RoundTripRecirculatesBlocks) {
     constexpr std::size_t kBlocks = 128;
     constexpr std::size_t kSize = 192;  // Ult-descriptor ballpark
-    const core::UnitCacheTotals before = core::unit_cache_totals();
+    const UnitCacheTotals before = unit_cache_totals();
 
     std::vector<void*> blocks;
     blocks.reserve(kBlocks);
@@ -69,7 +82,7 @@ TEST(UnitCacheTest, RoundTripRecirculatesBlocks) {
     }
     EXPECT_EQ(reused, kBlocks);  // LIFO magazines: exact recirculation
 
-    const core::UnitCacheTotals after = core::unit_cache_totals();
+    const UnitCacheTotals after = unit_cache_totals();
     EXPECT_EQ(after.allocs - before.allocs, 2 * kBlocks);
     // The second pass is all hits, so at least kBlocks hits were added.
     EXPECT_GE(after.hits - before.hits, kBlocks);
@@ -77,12 +90,12 @@ TEST(UnitCacheTest, RoundTripRecirculatesBlocks) {
 }
 
 TEST(UnitCacheTest, OversizeFallsBackToHeap) {
-    const core::UnitCacheTotals before = core::unit_cache_totals();
+    const UnitCacheTotals before = unit_cache_totals();
     void* p = core::unit_cache_alloc(4096);  // beyond the cached classes
     ASSERT_NE(p, nullptr);
     std::memset(p, 0xcd, 4096);
     core::unit_cache_free(p, 4096);
-    const core::UnitCacheTotals after = core::unit_cache_totals();
+    const UnitCacheTotals after = unit_cache_totals();
     // Heap fallback is invisible to the slab stats.
     EXPECT_EQ(after.allocs, before.allocs);
     EXPECT_EQ(after.misses, before.misses);
@@ -95,7 +108,7 @@ TEST(UnitCacheTest, MagazineRefillAndDrainPastCapacity) {
     const std::size_t cap = core::unit_cache_magazine_cap();
     const std::size_t n = 5 * cap + 3;
     constexpr std::size_t kSize = 64;
-    const core::UnitCacheTotals before = core::unit_cache_totals();
+    const UnitCacheTotals before = unit_cache_totals();
 
     std::vector<void*> blocks;
     blocks.reserve(n);
@@ -111,7 +124,7 @@ TEST(UnitCacheTest, MagazineRefillAndDrainPastCapacity) {
     for (void* p : blocks) {
         core::unit_cache_free(p, kSize);
     }
-    const core::UnitCacheTotals after = core::unit_cache_totals();
+    const UnitCacheTotals after = unit_cache_totals();
     EXPECT_EQ(after.allocs - before.allocs, 2 * n);
     // Pass two runs on recycled blocks: misses grew by at most pass one.
     EXPECT_LE(after.misses - before.misses, n);
@@ -124,7 +137,7 @@ TEST(UnitCacheTest, CrossThreadFreeKeepsTotalsExact) {
     // (hits can never exceed allocs).
     constexpr std::size_t kBlocks = 96;
     constexpr std::size_t kSize = 128;
-    const core::UnitCacheTotals before = core::unit_cache_totals();
+    const UnitCacheTotals before = unit_cache_totals();
 
     std::vector<void*> blocks;
     blocks.reserve(kBlocks);
@@ -142,7 +155,7 @@ TEST(UnitCacheTest, CrossThreadFreeKeepsTotalsExact) {
     });
     free_thread.join();
 
-    const core::UnitCacheTotals after = core::unit_cache_totals();
+    const UnitCacheTotals after = unit_cache_totals();
     EXPECT_EQ(after.allocs - before.allocs, kBlocks + 1);
     EXPECT_EQ(after.hits, after.allocs - after.misses);
     EXPECT_GE(after.hits, 0u);
@@ -164,7 +177,7 @@ TEST(UnitCacheTest, CrossDomainFreeMigratesThroughDepots) {
         blocks.push_back(core::unit_cache_alloc(kSize));
     }
 
-    const core::UnitCacheTotals before = core::unit_cache_totals();
+    const UnitCacheTotals before = unit_cache_totals();
     core::MpmcPool pool;
     auto stream = std::make_unique<core::XStream>(
         0, std::make_unique<core::Scheduler>(
@@ -200,7 +213,7 @@ TEST(UnitCacheTest, CrossDomainFreeMigratesThroughDepots) {
     stream->stop_and_join();
     stream.reset();
 
-    const core::UnitCacheTotals after = core::unit_cache_totals();
+    const UnitCacheTotals after = unit_cache_totals();
     // +1 for the Tasklet descriptor itself (class-scoped operator new).
     EXPECT_GE(after.allocs - before.allocs, n / 2);
     EXPECT_EQ(after.hits, after.allocs - after.misses);
@@ -224,13 +237,13 @@ TEST(UnitCacheTest, ConfigureDomainsGrowsOnlyAndClamps) {
 // --- work-unit descriptors ride the cache ------------------------------------
 
 TEST(UnitCacheTest, WorkUnitsAllocateFromSlabs) {
-    const core::UnitCacheTotals before = core::unit_cache_totals();
+    const UnitCacheTotals before = unit_cache_totals();
     {
         auto t = std::make_unique<core::Tasklet>([] {});
         auto u = std::make_unique<core::Ult>([] {}, arch::Stack::allocate(
                                                         16 * 1024));
     }
-    const core::UnitCacheTotals after = core::unit_cache_totals();
+    const UnitCacheTotals after = unit_cache_totals();
     EXPECT_EQ(after.allocs - before.allocs, 2u);
 }
 
@@ -315,9 +328,26 @@ TEST(StackTest, DefaultSourcePoolsUltStacks) {
 
 // --- audit shards -------------------------------------------------------------
 
+/// The create.* registry counters the audit writes.
+struct AuditCounters {
+    core::Counter& rmw =
+        core::MetricsRegistry::instance().counter("create.atomics");
+    core::Counter& alloc_ticks =
+        core::MetricsRegistry::instance().counter("create.alloc_ticks");
+    core::Counter& alloc_samples =
+        core::MetricsRegistry::instance().counter("create.alloc_samples");
+
+    void reset() {
+        rmw.reset();
+        alloc_ticks.reset();
+        alloc_samples.reset();
+    }
+};
+
 TEST(AuditTest, ForceEnabledCountersAccumulate) {
     arch::audit::force_enable(true);
-    arch::audit::reset();
+    AuditCounters c;
+    c.reset();
     ASSERT_TRUE(arch::audit::enabled());
     arch::audit::count_rmw();
     arch::audit::count_rmw(3);
@@ -327,25 +357,23 @@ TEST(AuditTest, ForceEnabledCountersAccumulate) {
         arch::audit::count_alloc_ticks(50);
     });
     other.join();
-    const arch::audit::Snapshot s = arch::audit::snapshot();
-    EXPECT_EQ(s.rmw, 9u);
-    EXPECT_EQ(s.alloc_ticks, 150u);
-    EXPECT_EQ(s.alloc_samples, 2u);
-    arch::audit::reset();
-    const arch::audit::Snapshot z = arch::audit::snapshot();
-    EXPECT_EQ(z.rmw, 0u);
-    EXPECT_EQ(z.alloc_samples, 0u);
+    EXPECT_EQ(c.rmw.value(), 9u);
+    EXPECT_EQ(c.alloc_ticks.value(), 150u);
+    EXPECT_EQ(c.alloc_samples.value(), 2u);
+    c.reset();
+    EXPECT_EQ(c.rmw.value(), 0u);
+    EXPECT_EQ(c.alloc_samples.value(), 0u);
     arch::audit::force_enable(false);
 }
 
 TEST(AuditTest, AuditedAllocPathRecordsLatency) {
     arch::audit::force_enable(true);
-    arch::audit::reset();
+    AuditCounters c;
+    c.reset();
     void* p = core::unit_cache_alloc(128);
     core::unit_cache_free(p, 128);
-    const arch::audit::Snapshot s = arch::audit::snapshot();
-    EXPECT_EQ(s.alloc_samples, 1u);
-    EXPECT_GT(s.alloc_ticks, 0u);
+    EXPECT_EQ(c.alloc_samples.value(), 1u);
+    EXPECT_GT(c.alloc_ticks.value(), 0u);
     arch::audit::force_enable(false);
 }
 
@@ -357,17 +385,22 @@ TEST(MetricsTest, PublishAllocMetricsExposesAllocatorTotals) {
     core::unit_cache_free(p, 64);
     core::publish_alloc_metrics();
     core::MetricsRegistry& reg = core::MetricsRegistry::instance();
-    const core::UnitCacheTotals t = core::unit_cache_totals();
-    EXPECT_EQ(reg.counter("alloc.unit_cache.allocs").value(), t.allocs);
-    EXPECT_EQ(reg.counter("alloc.unit_cache.hits").value(), t.hits);
-    EXPECT_EQ(reg.counter("alloc.unit_cache.misses").value(), t.misses);
+    const UnitCacheTotals t = unit_cache_totals();
+    EXPECT_GT(t.allocs, 0u);
+    EXPECT_EQ(t.hits, t.allocs - t.misses);
+    // Every sink's snapshot lists the allocator counters with those values.
+    const core::MetricsSnapshot snap = core::snapshot_metrics();
+    EXPECT_EQ(snap.counter("alloc.unit_cache.allocs"), t.allocs);
+    EXPECT_EQ(snap.counter("alloc.unit_cache.hits"), t.hits);
+    EXPECT_EQ(snap.counter("alloc.unit_cache.misses"), t.misses);
+    EXPECT_EQ(reg.gauge("alloc.slab.bytes").value(),
+              static_cast<std::int64_t>(core::unit_cache_slab_bytes()));
     EXPECT_GE(reg.gauge("alloc.slab.bytes").value(),
               static_cast<std::int64_t>(64 * 1024));
     // Publishing is idempotent: a second publish must not double-count.
     core::publish_alloc_metrics();
-    EXPECT_GE(reg.counter("alloc.unit_cache.allocs").value(), t.allocs);
-    EXPECT_EQ(reg.counter("alloc.unit_cache.misses").value(),
-              core::unit_cache_totals().misses);
+    EXPECT_EQ(reg.counter("alloc.unit_cache.allocs").value(), t.allocs);
+    EXPECT_EQ(reg.counter("alloc.unit_cache.misses").value(), t.misses);
 }
 
 }  // namespace

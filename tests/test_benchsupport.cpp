@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "benchsupport/harness.hpp"
 #include "benchsupport/stats.hpp"
@@ -9,6 +10,8 @@
 
 namespace {
 
+using lwt::benchsupport::env_flag;
+using lwt::benchsupport::env_size;
 using lwt::benchsupport::measure_ms;
 using lwt::benchsupport::Series;
 using lwt::benchsupport::Summary;
@@ -67,6 +70,63 @@ TEST(Sweep, FromEnvParsesThreadList) {
     ::unsetenv("LWTBENCH_THREADS");
     ::unsetenv("LWTBENCH_REPS");
     ::unsetenv("LWTBENCH_WARMUP");
+}
+
+TEST(Sweep, MalformedKnobsWarnOnceAndKeepTheDefault) {
+    ::unsetenv("LWTBENCH_THREADS");
+    ::unsetenv("LWTBENCH_REPS");
+    const SweepConfig defaults = SweepConfig::from_env();
+    struct Row {
+        const char* name;
+        const char* value;
+    };
+    for (const Row row : {Row{"LWTBENCH_REPS", "3x"},
+                          Row{"LWTBENCH_THREADS", "abc"},
+                          Row{"LWTBENCH_THREADS", "-1"},
+                          Row{"LWTBENCH_THREADS", "2,x"}}) {
+        ::setenv(row.name, row.value, 1);
+        testing::internal::CaptureStderr();
+        const SweepConfig cfg = SweepConfig::from_env();
+        const std::string first = testing::internal::GetCapturedStderr();
+        testing::internal::CaptureStderr();
+        (void)SweepConfig::from_env();
+        const std::string second = testing::internal::GetCapturedStderr();
+        ::unsetenv(row.name);
+        EXPECT_EQ(cfg.thread_counts, defaults.thread_counts) << row.value;
+        EXPECT_EQ(cfg.reps, defaults.reps) << row.value;
+        EXPECT_NE(first.find(std::string(row.name) + "=\"" + row.value),
+                  std::string::npos)
+            << first;
+        EXPECT_EQ(second, "") << "warned twice for " << row.value;
+    }
+}
+
+TEST(Sweep, KnobsUseTheSettingsGrammar) {
+    ::setenv("LWTBENCH_TEST_N", "42", 1);
+    EXPECT_EQ(env_size("LWTBENCH_TEST_N", 7), 42u);
+    ::setenv("LWTBENCH_TEST_N", "0", 1);
+    EXPECT_EQ(env_size("LWTBENCH_TEST_N", 7, 0), 0u);
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(env_size("LWTBENCH_TEST_N", 7), 7u);  // below the minimum
+    EXPECT_NE(testing::internal::GetCapturedStderr().find("LWTBENCH_TEST_N"),
+              std::string::npos);
+    ::unsetenv("LWTBENCH_TEST_N");
+    EXPECT_EQ(env_size("LWTBENCH_TEST_N", 7), 7u);
+
+    for (const char* on : {"1", "true", "ON", "yes"}) {
+        ::setenv("LWTBENCH_TEST_FLAG", on, 1);
+        EXPECT_TRUE(env_flag("LWTBENCH_TEST_FLAG")) << on;
+    }
+    for (const char* off : {"0", "false", "Off", "no"}) {
+        ::setenv("LWTBENCH_TEST_FLAG", off, 1);
+        EXPECT_FALSE(env_flag("LWTBENCH_TEST_FLAG", true)) << off;
+    }
+    ::setenv("LWTBENCH_TEST_FLAG", "2", 1);
+    testing::internal::CaptureStderr();
+    EXPECT_TRUE(env_flag("LWTBENCH_TEST_FLAG", true));
+    EXPECT_NE(testing::internal::GetCapturedStderr().find("LWTBENCH_TEST_FLAG"),
+              std::string::npos);
+    ::unsetenv("LWTBENCH_TEST_FLAG");
 }
 
 TEST(Sweep, DefaultsAreNonEmpty) {

@@ -13,6 +13,7 @@
 
 #include "abt/abt.hpp"
 #include "arch/stack.hpp"
+#include "core/metrics.hpp"
 #include "core/pool.hpp"
 #include "core/sync_ult.hpp"
 #include "core/unit_cache.hpp"
@@ -274,7 +275,9 @@ INSTANTIATE_TEST_SUITE_P(Flavors, MompBulkTest,
 // --- descriptor / stack caches ---------------------------------------------------
 
 TEST(UnitCache, RecyclesDescriptorsAcrossRounds) {
-    const std::uint64_t hits_before = lwt::core::unit_cache_hits();
+    auto& hits =
+        lwt::core::MetricsRegistry::instance().counter("alloc.unit_cache.hits");
+    const std::uint64_t hits_before = hits.value();
     for (int round = 0; round < 4; ++round) {
         std::vector<lwt::core::WorkUnit*> units;
         units.reserve(256);
@@ -286,7 +289,7 @@ TEST(UnitCache, RecyclesDescriptorsAcrossRounds) {
         }
     }
     // After the first round every round's allocations hit the freelist.
-    EXPECT_GT(lwt::core::unit_cache_hits(), hits_before);
+    EXPECT_GT(hits.value(), hits_before);
 }
 
 TEST(StackCache, BatchRefillAndDrainRoundTrip) {

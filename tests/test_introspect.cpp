@@ -102,6 +102,7 @@ struct ServerFixture {
 
 TEST(IntrospectHttpTest, MetricsExpositionIsValidAndCarriesCounters) {
     MetricsRegistry::instance().counter("introspect.test.counter").inc(7);
+    MetricsRegistry::instance().histogram("introspect.test_ns").record(1500);
     ServerFixture fx;
     ASSERT_NE(fx.server.port(), 0);
     const std::string resp = http_get(*fx.lib, fx.server.port(), "/metrics");
@@ -112,6 +113,12 @@ TEST(IntrospectHttpTest, MetricsExpositionIsValidAndCarriesCounters) {
     // The registry counter must appear, sanitized, with its value.
     EXPECT_NE(body.find("lwt_introspect_test_counter 7"), std::string::npos)
         << body;
+    // Histograms render in ns on the log-linear ladder: 1500 lands in the
+    // 32-wide bucket [1472, 1503].
+    EXPECT_NE(body.find("lwt_introspect_test_ns_bucket{le=\"1503\"} 1"),
+              std::string::npos)
+        << body;
+    EXPECT_NE(body.find("lwt_introspect_test_ns_count 1"), std::string::npos);
     // Live per-stream series sampled from the directory.
     EXPECT_NE(body.find("lwt_stream_executed{stream=\"0\""),
               std::string::npos);

@@ -167,12 +167,12 @@ TEST(JoinCore, HandoffRecordsSignalResumeLatency) {
     // Deterministic discriminator for CI's join-smoke leg: a joiner that
     // MUST suspend (the unit runs-and-sleeps on another stream, so steal/
     // help-first/backoff all fail) records its signal→resume sample in
-    // the "join.signal_resume_ticks" histogram.
+    // the "join.signal_resume_ns" histogram.
     // fig3's empty-bodied units can legally complete every join on the
     // help-first fast path on a small host, so the bench histogram alone
     // cannot assert the direct path was exercised.
     auto& hist = lwt::core::MetricsRegistry::instance().histogram(
-        "join.signal_resume_ticks");
+        "join.signal_resume_ns");
     lwt::core::Metrics::instance().enable();
     hist.reset();
     {

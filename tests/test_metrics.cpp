@@ -9,7 +9,9 @@
 // outermost session arms and flushes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -20,7 +22,6 @@
 
 #include "arch/cpu.hpp"
 #include "core/metrics.hpp"
-#include "core/metrics_text.hpp"
 #include "core/observability.hpp"
 #include "core/pool.hpp"
 #include "core/runtime.hpp"
@@ -89,81 +90,141 @@ TEST(ObservabilitySessionTest, EnvArmsRecordersAndFlushWritesTrace) {
     EXPECT_FALSE(Metrics::instance().enabled());
 }
 
-// --- histogram buckets -------------------------------------------------------
+// --- log-linear histogram ----------------------------------------------------
 
-TEST(LatencyHistogramTest, BucketBoundaries) {
-    // Bucket 0 holds exact zeros; bucket i holds [2^(i-1), 2^i).
-    EXPECT_EQ(LatencyHistogram::bucket_of(0), 0u);
-    EXPECT_EQ(LatencyHistogram::bucket_of(1), 1u);
-    EXPECT_EQ(LatencyHistogram::bucket_of(2), 2u);
-    EXPECT_EQ(LatencyHistogram::bucket_of(3), 2u);
-    EXPECT_EQ(LatencyHistogram::bucket_of(4), 3u);
-    EXPECT_EQ(LatencyHistogram::bucket_of(7), 3u);
-    EXPECT_EQ(LatencyHistogram::bucket_of(8), 4u);
-    EXPECT_EQ(LatencyHistogram::bucket_of(~std::uint64_t{0}), 64u);
+TEST(HistogramTest, BucketEdges) {
+    using H = HistogramSnapshot;
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    // Exact below 32; 32 linear sub-buckets per power of two above.
+    EXPECT_EQ(H::bucket_of(0), 0u);
+    EXPECT_EQ(H::bucket_of(31), 31u);
+    EXPECT_EQ(H::bucket_of(32), 32u);
+    EXPECT_EQ(H::bucket_of(std::uint64_t{1} << 63), 1888u);
+    EXPECT_EQ(H::bucket_of(kMax), H::kBuckets - 1);
+    // Every edge lies inside the bucket it maps to.
+    for (const std::uint64_t v :
+         {std::uint64_t{0}, std::uint64_t{31}, std::uint64_t{32},
+          std::uint64_t{1} << 63, kMax}) {
+        const std::size_t b = H::bucket_of(v);
+        EXPECT_LE(H::bucket_lower(b), v) << v;
+        EXPECT_LE(v - H::bucket_lower(b), H::bucket_width(b) - 1) << v;
+    }
+    EXPECT_EQ(H::bucket_lower(32), 32u);
+    EXPECT_EQ(H::bucket_width(32), 1u);
+    EXPECT_EQ(H::bucket_lower(1888), std::uint64_t{1} << 63);
+    EXPECT_EQ(H::bucket_lower(H::kBuckets - 1) +
+                  (H::bucket_width(H::kBuckets - 1) - 1),
+              kMax);
+    // A bucket never spans more than 1/32 of its lower edge.
+    for (std::size_t b = H::kSub; b < H::kBuckets; ++b) {
+        EXPECT_LE(H::bucket_width(b) * H::kSub, H::bucket_lower(b)) << b;
+    }
 
-    EXPECT_EQ(LatencyHistogram::bucket_limit(0), 0u);
-    EXPECT_EQ(LatencyHistogram::bucket_limit(1), 1u);
-    EXPECT_EQ(LatencyHistogram::bucket_limit(2), 3u);
-    EXPECT_EQ(LatencyHistogram::bucket_limit(3), 7u);
-    EXPECT_EQ(LatencyHistogram::bucket_limit(64), ~std::uint64_t{0});
-
-    LatencyHistogram h;
-    h.record(0);
-    h.record(1);
-    h.record(2);
-    h.record(3);
-    h.record(4);
-    const HistogramSnapshot s = h.snapshot();
-    EXPECT_EQ(s.buckets[0], 1u);
-    EXPECT_EQ(s.buckets[1], 1u);
-    EXPECT_EQ(s.buckets[2], 2u);
-    EXPECT_EQ(s.buckets[3], 1u);
-    EXPECT_EQ(s.count, 5u);
-    EXPECT_EQ(s.sum, 10u);
-    EXPECT_DOUBLE_EQ(s.mean(), 2.0);
+    Histogram& live = MetricsRegistry::instance().histogram("test.hist.edges");
+    for (const std::uint64_t v : {0, 1, 31, 32, 33}) {
+        live.record(v);
+    }
+    const H h = live.snapshot();
+    EXPECT_EQ(h.buckets[0], 1u);
+    EXPECT_EQ(h.buckets[31], 1u);
+    EXPECT_EQ(h.buckets[32], 1u);
+    EXPECT_EQ(h.count, 5u);
+    EXPECT_EQ(h.sum, 97u);
+    EXPECT_DOUBLE_EQ(h.mean(), 19.4);
 }
 
-TEST(LatencyHistogramTest, PercentileWithinBucketResolution) {
-    LatencyHistogram h;
+TEST(HistogramTest, QuantilesWithinOneSixtyFourth) {
+    // A known distribution spanning five decades: v = floor(1.0001^i).
+    auto& reg = MetricsRegistry::instance();
+    Histogram& live = reg.histogram("test.hist.quantiles");
+    std::vector<std::uint64_t> values;
+    double x = 1.0;
+    for (int i = 0; i < 120000; ++i, x *= 1.0001) {
+        values.push_back(static_cast<std::uint64_t>(x));
+        live.record(values.back());
+    }
+    const HistogramSnapshot h = live.snapshot();
+    std::sort(values.begin(), values.end());
+    for (const double q : {0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999}) {
+        const auto rank = static_cast<std::size_t>(
+            std::ceil(q * static_cast<double>(values.size())));
+        const double exact = static_cast<double>(values[rank - 1]);
+        EXPECT_NEAR(h.quantile(q), exact, exact / 64.0) << "q=" << q;
+    }
+    // Point masses: the interpolation can only be off by the width of the
+    // bucket holding the mass (1/32), and p50 and p99 land in their own
+    // modes rather than on one shared edge.
+    Histogram& modes = reg.histogram("test.hist.bimodal");
     for (int i = 0; i < 90; ++i) {
-        h.record(100);  // bucket 7: [64, 128)
+        modes.record(100);
     }
     for (int i = 0; i < 10; ++i) {
-        h.record(10000);  // bucket 14: [8192, 16384)
+        modes.record(10000);
     }
-    const HistogramSnapshot s = h.snapshot();
-    EXPECT_EQ(s.percentile(0.5), LatencyHistogram::bucket_limit(7));
-    EXPECT_EQ(s.percentile(0.99), LatencyHistogram::bucket_limit(14));
-    EXPECT_EQ(s.percentile(0.0), LatencyHistogram::bucket_limit(7));
-    EXPECT_EQ(s.percentile(1.0), LatencyHistogram::bucket_limit(14));
-    // Empty histogram: every percentile is 0.
-    EXPECT_EQ(HistogramSnapshot{}.percentile(0.5), 0u);
+    const HistogramSnapshot bimodal = modes.snapshot();
+    EXPECT_NEAR(bimodal.quantile(0.5), 100.0, 100.0 / 32.0);
+    EXPECT_NEAR(bimodal.quantile(0.99), 10000.0, 10000.0 / 32.0);
+    // Empty histogram: every quantile is 0.
+    EXPECT_EQ(HistogramSnapshot{}.quantile(0.5), 0.0);
 }
 
-TEST(LatencyHistogramTest, SnapshotsMergeLikeSchedStats) {
-    LatencyHistogram a;
-    LatencyHistogram b;
-    a.record(1);
-    a.record(5);
-    b.record(5);
-    b.record(300);
-    HistogramSnapshot merged = a.snapshot();
-    merged += b.snapshot();
+TEST(HistogramTest, SnapshotMergesEveryThreadsBlock) {
+    Histogram& h = MetricsRegistry::instance().histogram("test.hist.merge");
+    h.record(1);
+    h.record(5);
+    std::thread([&h] {
+        h.record(5);
+        h.record(300);
+    }).join();
+    const HistogramSnapshot merged = h.snapshot();
     EXPECT_EQ(merged.count, 4u);
     EXPECT_EQ(merged.sum, 311u);
-    EXPECT_EQ(merged.buckets[LatencyHistogram::bucket_of(5)], 2u);
-    EXPECT_EQ(merged.buckets[LatencyHistogram::bucket_of(300)], 1u);
+    EXPECT_EQ(merged.buckets[HistogramSnapshot::bucket_of(5)], 2u);
+    EXPECT_EQ(merged.buckets[HistogramSnapshot::bucket_of(300)], 1u);
 }
 
-TEST(LatencyHistogramTest, ResetZeroesEverything) {
-    LatencyHistogram h;
+TEST(HistogramTest, ResetZeroesEverything) {
+    Histogram& h = MetricsRegistry::instance().histogram("test.hist.reset");
     h.record(42);
+    EXPECT_EQ(h.snapshot().count, 1u);
     h.reset();
-    const HistogramSnapshot s = h.snapshot();
+    HistogramSnapshot s = h.snapshot();
     EXPECT_EQ(s.count, 0u);
     EXPECT_EQ(s.sum, 0u);
-    EXPECT_EQ(s.buckets[LatencyHistogram::bucket_of(42)], 0u);
+    // The next record starts the recording thread's block from zero.
+    h.record(7);
+    s = h.snapshot();
+    EXPECT_EQ(s.count, 1u);
+    EXPECT_EQ(s.sum, 7u);
+    EXPECT_EQ(s.buckets[HistogramSnapshot::bucket_of(42)], 0u);
+    h.reset();
+}
+
+TEST(TelemetryTest, TotalsSurviveTheRecordingThreadsExit) {
+    auto& reg = MetricsRegistry::instance();
+    Counter& c = reg.counter("test.exit.counter");
+    Histogram& h = reg.histogram("test.exit.hist");
+    c.reset();
+    h.reset();
+    std::thread([&] {
+        c.inc(5);
+        h.record(1000);
+        h.record(2000);
+    }).join();
+    EXPECT_EQ(c.value(), 5u);
+    EXPECT_EQ(h.snapshot().count, 2u);
+    EXPECT_EQ(h.snapshot().sum, 3000u);
+    // A later thread may take over the exited thread's shard: it adds to
+    // the totals, never replaces them.
+    std::thread([&] {
+        c.inc(2);
+        h.record(500);
+    }).join();
+    EXPECT_EQ(c.value(), 7u);
+    EXPECT_EQ(h.snapshot().count, 3u);
+    EXPECT_EQ(h.snapshot().sum, 3500u);
+    c.reset();
+    h.reset();
 }
 
 // --- registry ----------------------------------------------------------------
@@ -180,18 +241,19 @@ TEST(MetricsRegistryTest, LookupIsStableAndResetKeepsNames) {
     g.set(2);
     EXPECT_EQ(g.value(), 2);
     EXPECT_EQ(g.max(), 7);  // high-water survives lower samples
-    EXPECT_EQ(g.samples(), 2u);
 
     reg.histogram("test.registry.hist").record(9);
 
-    bool saw_counter = false;
-    for (const auto& e : reg.counters()) {
-        if (e.name == "test.registry.counter") {
-            saw_counter = true;
-            EXPECT_EQ(e.value, 3u);
+    const MetricsSnapshot snap = snapshot_metrics();
+    EXPECT_EQ(snap.counter("test.registry.counter"), 3u);
+    bool saw_hist = false;
+    for (const auto& e : snap.histograms) {
+        if (e.name == "test.registry.hist") {
+            saw_hist = true;
+            EXPECT_EQ(e.hist.count, 1u);
         }
     }
-    EXPECT_TRUE(saw_counter);
+    EXPECT_TRUE(saw_hist);
 
     reg.reset_values();
     EXPECT_EQ(c1.value(), 0u);
@@ -453,7 +515,7 @@ TEST(RuntimeResetStatsTest, PostResetRegistrySnapshotIsEmpty) {
     reg.counter("sync.suspends").inc(7);
     reg.counter("sched.stalls").inc(1);
     reg.gauge("sched.longest_unit_ms").set(42);
-    reg.histogram("io.req_latency_ticks").record(123);
+    reg.histogram("io.req_latency_ns").record(123);
 
     std::vector<std::unique_ptr<DequePool>> pools;
     pools.push_back(std::make_unique<DequePool>());
@@ -463,14 +525,15 @@ TEST(RuntimeResetStatsTest, PostResetRegistrySnapshotIsEmpty) {
     });
     rt.reset_stats();
 
-    for (const auto& e : reg.counters()) {
+    const MetricsSnapshot snap = snapshot_metrics();
+    for (const auto& e : snap.counters) {
         EXPECT_EQ(e.value, 0u) << "counter not reset: " << e.name;
     }
-    for (const auto& e : reg.gauges()) {
+    for (const auto& e : snap.gauges) {
         EXPECT_EQ(e.value, 0) << "gauge not reset: " << e.name;
         EXPECT_EQ(e.max, 0) << "gauge max not reset: " << e.name;
     }
-    for (const auto& e : reg.histograms()) {
+    for (const auto& e : snap.histograms) {
         EXPECT_EQ(e.hist.count, 0u) << "histogram not reset: " << e.name;
         EXPECT_EQ(e.hist.sum, 0u) << "histogram sum not reset: " << e.name;
     }
@@ -520,6 +583,66 @@ TEST(MetricsStressTest, ConcurrentWritersAndSnapshots) {
     tracer.clear();
     metrics.reset();
     MetricsRegistry::instance().reset_values();
+}
+
+TEST(MetricsStressTest, FourRecordersAgainstSnapshotAndReset) {
+    // Four OS threads count and record into their own shards while another
+    // thread snapshots and resets: resets never write a recorder's cells,
+    // so this must be race-free under TSan, and once the recorders stop a
+    // reset followed by a known workload reads back exactly.
+    auto& reg = MetricsRegistry::instance();
+    Counter& counter = reg.counter("test.stress.counter");
+    Histogram& hist = reg.histogram("test.stress.hist");
+    constexpr int kThreads = 4;
+    constexpr std::uint64_t kPerThread = 1000;
+    const auto record = [&](std::uint64_t n, std::uint64_t seed) {
+        for (std::uint64_t i = 0; i < n; ++i) {
+            counter.inc();
+            hist.record(seed * 1000 + i);
+        }
+    };
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> recorders;
+    for (int w = 0; w < kThreads; ++w) {
+        recorders.emplace_back([&, w] {
+            while (!stop.load(std::memory_order_relaxed)) {
+                record(64, static_cast<std::uint64_t>(w));
+            }
+        });
+    }
+    std::thread observer([&] {
+        while (!stop.load(std::memory_order_relaxed)) {
+            const MetricsSnapshot snap = snapshot_metrics();
+            (void)snap.counter("test.stress.counter");
+            reg.reset_values();
+        }
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    stop.store(true);
+    for (auto& t : recorders) {
+        t.join();
+    }
+    observer.join();
+
+    reg.reset_values();
+    EXPECT_EQ(counter.value(), 0u);
+    EXPECT_EQ(hist.snapshot().count, 0u);
+    std::vector<std::thread> again;
+    for (int w = 0; w < kThreads; ++w) {
+        again.emplace_back(record, kPerThread, static_cast<std::uint64_t>(w));
+    }
+    for (auto& t : again) {
+        t.join();
+    }
+    EXPECT_EQ(counter.value(), kThreads * kPerThread);
+    const HistogramSnapshot h = hist.snapshot();
+    EXPECT_EQ(h.count, kThreads * kPerThread);
+    std::uint64_t in_buckets = 0;
+    for (const std::uint64_t b : h.buckets) {
+        in_buckets += b;
+    }
+    EXPECT_EQ(in_buckets, h.count);
+    reg.reset_values();
 }
 
 }  // namespace

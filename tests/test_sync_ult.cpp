@@ -318,10 +318,10 @@ TEST(WaitWord, DestroyRaceStress) {
 
 TEST(SyncFuture, SetWakesParkedOsThread) {
     // The plain-thread wait used to spin on yield_anywhere(); it must now
-    // park and be woken by set() — asserted via the sync.wake_latency
+    // park and be woken by set() — asserted via the sync.block_resume
     // histogram, which only the suspend path records.
     auto& hist = lwt::core::MetricsRegistry::instance().histogram(
-        "sync.wake_latency_ticks");
+        "sync.block_resume_ns");
     auto& suspends =
         lwt::core::MetricsRegistry::instance().counter("sync.suspends");
     lwt::core::Metrics::instance().enable();
@@ -520,10 +520,10 @@ TEST(SyncUlt, BlockedUltsSuspendWhileStreamKeepsWorking) {
 TEST(SyncUlt, CondvarPingPongFourUltsPerStream) {
     // >= 4 ULTs per stream on a mutex/condvar ping-pong (the acceptance
     // contention shape): turn-taking over a shared counter, predicate
-    // loops absorbing Mesa wakeups, wake latency recorded by the suspend
-    // path.
+    // loops absorbing Mesa wakeups, block->resume latency recorded by the
+    // suspend path.
     auto& hist = lwt::core::MetricsRegistry::instance().histogram(
-        "sync.wake_latency_ticks");
+        "sync.block_resume_ns");
     lwt::core::Metrics::instance().enable();
     hist.reset();
 
