@@ -67,6 +67,18 @@ double jain_index(const std::vector<std::uint64_t>& counts) {
     return (sum * sum) / (static_cast<double>(counts.size()) * sum_sq);
 }
 
+/// Join a window's ULTs without booking the main thread's own wait:
+/// join_all_free blocks in EventCounter::wait, whose SyncBlocker records
+/// into the same "sync.block_resume_ns" histogram as the primitives under
+/// test (and the spin baselines must read 0 there). Waiters parked inside
+/// the window were stamped already and still record at their resume.
+void join_unrecorded(lwt::abt::Library& lib,
+                     std::vector<lwt::abt::UnitHandle>& handles) {
+    Metrics::instance().disable();
+    lib.join_all_free(handles);
+    Metrics::instance().enable();
+}
+
 /// One contention window: U ULTs loop lock/unlock on `primitive` until the
 /// stop flag rises, counting their own acquisitions. Returns ops/ms and
 /// the Jain fairness of the per-ULT counts.
@@ -103,7 +115,7 @@ void run_lock_window(lwt::abt::Library& lib, std::size_t workers,
     std::this_thread::sleep_for(
         std::chrono::microseconds(static_cast<long>(window_ms * 1000.0)));
     stop.store(true);
-    lib.join_all_free(handles);
+    join_unrecorded(lib, handles);
     const double elapsed_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - t0)
@@ -197,7 +209,7 @@ PrimitiveResult measure_condvar(std::size_t threads, std::size_t reps,
             stop.store(true);
             cv.notify_all();
         }
-        lib.join_all_free(handles);
+        join_unrecorded(lib, handles);
         const double elapsed_ms =
             std::chrono::duration<double, std::milli>(
                 std::chrono::steady_clock::now() - t0)

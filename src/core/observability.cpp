@@ -228,8 +228,11 @@ void print_metrics_report(std::ostream& os) {
                << ")\n";
         }
     }
-    for (const auto& h : snap.histograms) {
-        print_histogram_row(os, h.name.c_str(), h.hist);
+    if (!snap.histograms.empty()) {
+        os << "histograms:\n";
+        for (const auto& h : snap.histograms) {
+            print_histogram_row(os, h.name.c_str(), h.hist);
+        }
     }
     os << "==========================================================="
           "=======\n";

@@ -7,8 +7,8 @@
 // code (ThreadParker sleep; an attached stream drains its pools while
 // waiting), because the paper's main thread joins from outside any ULT.
 //
-// The whole family shares the waiter machinery in core/waiter.hpp:
-// allocation-free intrusive stack-node queues with the PR-5 EventCounter
+// The whole family, EventCounter included, shares the waiter machinery in
+// core/waiter.hpp: allocation-free intrusive stack-node queues with one
 // lifetime discipline, Mesa-style wakeups (a woken waiter re-contends, so
 // condition waits need predicate loops), and block->resume telemetry in
 // the "sync.block_resume_ns" registry histogram. docs/sync.md is the
@@ -20,7 +20,6 @@
 
 #include "core/ult.hpp"
 #include "core/waiter.hpp"
-#include "sync/parking_lot.hpp"
 #include "sync/spinlock.hpp"
 
 namespace lwt::core {
@@ -28,10 +27,11 @@ namespace lwt::core {
 /// Counts outstanding events; wait() returns when the count reaches zero.
 /// This is the join object behind most personalities (and Go's WaitGroup).
 ///
-/// Suspend-based since the direct-handoff join PR: waiters register under
-/// the guard and the signal() that drives the count to zero wakes them
-/// directly — a suspended ULT through Ult::wake, a blocked OS thread
-/// through its ThreadParker. No poll anywhere (docs/join_path.md).
+/// Suspend-based: each waiter registers a SyncWaiter node armed by its own
+/// SyncBlocker under the guard, and the signal() that drives the count to
+/// zero wakes the whole chain directly — a suspended ULT through
+/// Ult::wake, a blocked OS thread through its ThreadParker. No poll
+/// anywhere (docs/join_path.md).
 ///
 /// Lifetime contract (why the count word carries a waiters bit): the
 /// counter is typically stack-owned by the waiter and destroyed the moment
@@ -77,17 +77,6 @@ class EventCounter {
     }
 
   private:
-    /// One entry in the intrusive waiter list. Lives on the waiting
-    /// context's stack — registration and the zero-crossing drain never
-    /// allocate (both run on noexcept paths, including the terminator's
-    /// publish).
-    struct WaitNode {
-        enum class Kind : std::uint8_t { kUlt, kParker };
-        Kind kind;
-        void* ptr;
-        WaitNode* next = nullptr;
-    };
-
     // state_ layout: (count << 1) | waiters-present bit. Count and flag
     // share one word so the decrement atomically learns whether anyone is
     // registered: a zero-crossing signal() that reads the bit clear is
@@ -104,7 +93,7 @@ class EventCounter {
     /// positive (one CAS: either the zero-crossing decrement sees the bit
     /// and drains us, or we see count <= 0 and never block). Returns
     /// false when the caller must not wait.
-    bool register_waiter(WaitNode& node) noexcept;
+    bool register_waiter(SyncWaiter& node) noexcept;
 
     /// Zero-crossing drain: detach the whole list under the guard, then
     /// wake each node outside it. Only waiter-owned memory is touched
@@ -113,15 +102,14 @@ class EventCounter {
 
     std::atomic<std::int64_t> state_;
     sync::Spinlock guard_;
-    WaitNode* waiters_head_ = nullptr;  ///< guarded by guard_
+    SyncWaiter* waiters_head_ = nullptr;  ///< guarded by guard_
 };
 
 /// Mutual exclusion that suspends the waiter instead of spinning its
 /// stream: a brief bounded spin (uncontended handoffs resolve in-cache),
 /// then the caller parks on an intrusive FIFO. Works from ULTs AND plain
-/// threads — the old UltMutex spun OS-thread callers forever. Mesa-style
-/// wakeups: unlock pops one waiter, which re-contends (barging allowed; no
-/// convoy on the handoff).
+/// threads. Mesa-style wakeups: unlock pops one waiter, which re-contends
+/// (barging allowed; no convoy on the handoff).
 class Mutex {
   public:
     Mutex() = default;
@@ -143,12 +131,8 @@ class Mutex {
     SyncWaiterList waiters_;  ///< guarded by guard_
 };
 
-/// Historical name; the suspend-based Mutex replaced the spin-degrade one.
-using UltMutex = Mutex;
-
 /// Condition variable over core::Mutex. Usable from ULTs and plain
-/// threads alike (the old UltCondVar asserted ULT context). Mesa
-/// semantics: always wait in a predicate loop —
+/// threads alike. Mesa semantics: always wait in a predicate loop —
 ///     cv.wait(m, [&] { return ready; });
 class Condvar {
   public:
@@ -177,9 +161,6 @@ class Condvar {
     sync::Spinlock guard_;
     SyncWaiterList waiters_;  ///< guarded by guard_
 };
-
-/// Historical name for the ULT-aware condition variable.
-using UltCondVar = Condvar;
 
 /// Writer-preferring shared/exclusive lock (std::shared_mutex shape,
 /// ABT_rwlock semantics). Writer preference bounds writer starvation: once

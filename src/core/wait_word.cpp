@@ -1,8 +1,7 @@
 #include "core/wait_word.hpp"
 
 #include "arch/cpu.hpp"
-#include "core/waiter.hpp"
-#include "sync/wait_table.hpp"
+#include "core/wait_table.hpp"
 
 namespace lwt::core {
 
@@ -25,7 +24,6 @@ bool word_still_blocked(void* c) {
 
 template <typename V>
 void wait_on_word_impl(const std::atomic<V>& word, V expected) noexcept {
-    ensure_sync_wait_ops();
     for (int i = 0; i < kWordSpin; ++i) {
         if (word.load(std::memory_order_acquire) != expected) {
             return;
@@ -34,8 +32,7 @@ void wait_on_word_impl(const std::atomic<V>& word, V expected) noexcept {
     }
     WordCtx<V> ctx{&word, expected};
     while (word.load(std::memory_order_acquire) == expected) {
-        sync::WaitTable::instance().park_if(&word, &word_still_blocked<V>,
-                                            &ctx);
+        WaitTable::instance().park_if(&word, &word_still_blocked<V>, &ctx);
     }
 }
 
@@ -52,11 +49,11 @@ void wait_on_word(const std::atomic<std::uint32_t>& word,
 }
 
 std::size_t wake_word_one(const void* addr) noexcept {
-    return sync::WaitTable::instance().unpark(addr, 1);
+    return WaitTable::instance().unpark(addr, 1);
 }
 
 std::size_t wake_word_all(const void* addr) noexcept {
-    return sync::WaitTable::instance().unpark(addr);
+    return WaitTable::instance().unpark(addr);
 }
 
 }  // namespace lwt::core

@@ -2,7 +2,7 @@
 //
 // wait_on_word(word, expected) blocks the caller while `word == expected`:
 // a brief spin first (most handoffs resolve in nanoseconds), then a
-// suspend through sync::WaitTable keyed by the word's address — a ULT
+// suspend through core::WaitTable keyed by the word's address — a ULT
 // yields its stream, an OS thread parks. wake_word_one/all wake parked
 // waiters after the word has been changed.
 //
@@ -12,7 +12,7 @@
 // waking a stale address after the word itself has died is harmless — the
 // table compares the key only as a value.
 //
-// sync::FebTable blocks through the same table, which is what makes a
+// qth::FebTable blocks through the same table, which is what makes a
 // Qthreads FEB word "just" a wait_on_word with an external full/empty bit.
 #pragma once
 

@@ -3,7 +3,6 @@
 #include "arch/cpu.hpp"
 #include "core/metrics.hpp"
 #include "core/xstream.hpp"
-#include "sync/wait_table.hpp"
 
 namespace lwt::core {
 
@@ -18,67 +17,15 @@ void record_sync_suspend() noexcept {
     suspends.inc();
 }
 
-/// One block->resume sample: from the stamp SyncBlocker::prepare (or the
-/// WaitTable park) took to the moment the waiter runs again.
+/// One block->resume sample: from the stamp SyncBlocker::prepare took to
+/// the moment the waiter runs again.
 void record_sync_block_resume(std::uint64_t ticks) noexcept {
     static Histogram& hist =
         MetricsRegistry::instance().histogram("sync.block_resume_ns");
     hist.record(ticks_to_ns(ticks));
 }
 
-/// Thread-side wait used by both SyncBlocker and (via the installed hooks)
-/// sync::WaitTable: a bare thread sleeps, an attached stream keeps serving
-/// its pools (XStream::wait_attached) so the runtime it is part of cannot
-/// starve while it blocks.
-void thread_wait_impl(sync::ThreadParker& parker, XStream* stream) noexcept {
-    if (stream != nullptr) {
-        stream->wait_attached(parker);
-    } else {
-        parker.wait();
-    }
-}
-
-// --- hooks handed to sync::WaitTable ---------------------------------------
-
-void* hook_current() noexcept { return Ult::current(); }
-
-void hook_arm(void* ult) noexcept {
-    static_cast<Ult*>(ult)->state.store(State::kBlocking,
-                                        std::memory_order_release);
-}
-
-void hook_cancel(void* ult) noexcept {
-    static_cast<Ult*>(ult)->state.store(State::kRunning,
-                                        std::memory_order_relaxed);
-}
-
-void hook_suspend(void* ult) noexcept {
-    static_cast<Ult*>(ult)->suspend(YieldStatus::kBlocked);
-}
-
-void hook_wake(void* ult) noexcept { Ult::wake(static_cast<Ult*>(ult)); }
-
-void hook_thread_wait(sync::ThreadParker& parker) noexcept {
-    thread_wait_impl(parker, XStream::current());
-}
-
-bool hook_metrics_enabled() noexcept {
-    return Metrics::instance().enabled();
-}
-
-constexpr sync::UltWaitOps kWaitOps{
-    &hook_current,  &hook_arm,
-    &hook_cancel,   &hook_suspend,
-    &hook_wake,     &hook_thread_wait,
-    &hook_metrics_enabled, &record_sync_block_resume,
-    &record_sync_suspend,
-};
-
 }  // namespace
-
-void ensure_sync_wait_ops() noexcept {
-    sync::install_ult_wait_ops(&kWaitOps);
-}
 
 void wake_sync_waiter(SyncWaiter* w) noexcept {
     if (w->kind == SyncWaiter::Kind::kUlt) {
@@ -130,8 +77,12 @@ void SyncBlocker::wait() noexcept {
     }
     if (self_ != nullptr) {
         self_->suspend(YieldStatus::kBlocked);
+    } else if (stream_ != nullptr) {
+        // An attached stream keeps serving its pools so the runtime it is
+        // part of cannot starve while its thread blocks.
+        stream_->wait_attached(*parker_);
     } else {
-        thread_wait_impl(*parker_, stream_);
+        parker_->wait();
     }
     if (node_ != nullptr && node_->block_tsc != 0) {
         record_sync_block_resume(arch::rdtsc() - node_->block_tsc);

@@ -1,17 +1,18 @@
 // waiter.hpp — shared suspend/degrade machinery for blocking primitives.
 //
-// Every blocking object in core (Mutex, Condvar, RwLock, Semaphore,
-// UltBarrier, Channel, Future) blocks the same way: the caller builds a
-// stack-owned SyncWaiter node, arms a SyncBlocker, publishes the node into
-// the primitive's intrusive queue under its guard, and waits. The blocker
-// binds the node to whatever the calling context is:
+// Every blocking object in core (EventCounter, Mutex, Condvar, RwLock,
+// Semaphore, UltBarrier, Channel, Future, the address-keyed WaitTable
+// behind wait_on_word and FEB words) blocks the same way: the caller
+// builds a stack-owned SyncWaiter node, arms a SyncBlocker, publishes the
+// node into the primitive's intrusive queue under its guard, and waits.
+// The blocker binds the node to whatever the calling context is:
 //
 //   ULT             -> kBlocking/kWakePending handshake + scheduler suspend
 //                      (the stream keeps running other ready units)
-//   attached stream -> drains its pools between bounded parks
+//   attached stream -> drains its pools between lot-routed parks
 //   plain OS thread -> sleeps on a stack ThreadParker
 //
-// This is the PR-5 EventCounter stack-node discipline factored out so every
+// It is the one block/wake path outside join_unit's joiner slot, so every
 // primitive gets the same lifetime contract:
 //
 //   * registration and wake never allocate;
@@ -27,6 +28,7 @@
 // contention.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 
@@ -46,6 +48,7 @@ struct SyncWaiter {
     SyncWaiter* next = nullptr;
     std::uint32_t flags = 0;  ///< primitive-private (e.g. RwLock writer bit)
     std::uint64_t block_tsc = 0;  ///< set at prepare() when Metrics enabled
+    const void* key = nullptr;  ///< WaitTable address key (compared only)
 };
 
 /// FIFO of intrusive SyncWaiter nodes. Not thread-safe: callers mutate it
@@ -109,6 +112,39 @@ class SyncWaiterList {
         return h;
     }
 
+    /// Detach up to `max` nodes whose key is `key`, in FIFO order, as a
+    /// chain like detach_all()'s; `detached` receives their number. The
+    /// other nodes keep their order.
+    SyncWaiter* detach_key(const void* key, std::size_t max,
+                           std::size_t& detached) noexcept {
+        SyncWaiter* chain = nullptr;
+        SyncWaiter** chain_tail = &chain;
+        SyncWaiter* prev = nullptr;
+        detached = 0;
+        for (SyncWaiter* w = head_; w != nullptr && detached < max;) {
+            SyncWaiter* const next = w->next;
+            if (w->key != key) {
+                prev = w;
+                w = next;
+                continue;
+            }
+            if (prev != nullptr) {
+                prev->next = next;
+            } else {
+                head_ = next;
+            }
+            if (tail_ == w) {
+                tail_ = prev;
+            }
+            w->next = nullptr;
+            *chain_tail = w;
+            chain_tail = &w->next;
+            ++detached;
+            w = next;
+        }
+        return chain;
+    }
+
   private:
     SyncWaiter* head_ = nullptr;
     SyncWaiter* tail_ = nullptr;
@@ -158,10 +194,5 @@ class SyncBlocker {
     SyncWaiter* node_ = nullptr;
     std::optional<sync::ThreadParker> parker_;  ///< thread path only
 };
-
-/// Install the sync-layer ULT wait hooks (sync::install_ult_wait_ops) so
-/// sync::WaitTable can suspend/wake ULTs and record wake latency. Cheap and
-/// idempotent; called from XStream construction and core/wait_word.
-void ensure_sync_wait_ops() noexcept;
 
 }  // namespace lwt::core

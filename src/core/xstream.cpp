@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <chrono>
+#include <utility>
 
 #include "arch/cpu.hpp"
 #include "core/join.hpp"
@@ -9,7 +10,6 @@
 #include "core/reactor.hpp"
 #include "core/stream_dir.hpp"
 #include "core/trace.hpp"
-#include "core/waiter.hpp"
 
 namespace lwt::core {
 namespace {
@@ -30,9 +30,6 @@ constexpr std::chrono::microseconds kBareParkerNap{50};
 XStream::XStream(unsigned rank, std::unique_ptr<Scheduler> scheduler)
     : rank_(rank) {
     assert(scheduler != nullptr);
-    // Give sync::WaitTable its ULT suspend/wake hooks before any ULT can
-    // possibly block in a sync-layer primitive (FEB ops, wait_on_word).
-    ensure_sync_wait_ops();
     scheduler->bind_stats(&counters_);
     sched_stack_.push_back(std::move(scheduler));
     // Last: the stream is fully formed, make it visible to observers.
@@ -189,11 +186,7 @@ bool XStream::progress() {
             sched_stack_.pop_back();
         }
     }
-    WorkUnit* unit = next_hint_;
-    next_hint_ = nullptr;
-    if (unit == nullptr) {
-        unit = scheduler().next();
-    }
+    WorkUnit* unit = scheduler().next();
     if (unit == nullptr) {
         // Out of work: lend this idle stream to the I/O reactor. A
         // dispatched readiness event or due timer may wake a ULT straight
@@ -226,6 +219,18 @@ void XStream::finish_unit(WorkUnit* unit) {
 }
 
 void XStream::run_unit(WorkUnit* unit) {
+    // A ULT that yields to a target (yield_to, a join-steal) leaves it in
+    // next_hint_: run it before returning, so a hint never outlives the
+    // dispatch that set it. A caller that went back to its own code first
+    // (a notified wait_attached, an inline join-steal whose joinee is
+    // done) would strand the target, which sits in no pool, until a later
+    // hint overwrote it for good.
+    for (; unit != nullptr; unit = std::exchange(next_hint_, nullptr)) {
+        dispatch(unit);
+    }
+}
+
+void XStream::dispatch(WorkUnit* unit) {
     executed_.fetch_add(1, std::memory_order_relaxed);
     // Runaway-unit stamp for the watchdog: dispatch TSC while a unit is
     // on-CPU, 0 otherwise. Unarmed (the default) this is one relaxed load.

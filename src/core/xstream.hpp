@@ -119,8 +119,10 @@ class XStream {
     /// Stream currently driving the calling OS thread, or nullptr.
     static XStream* current() noexcept;
 
-    /// Instruct the loop to run `unit` next, bypassing scheduler selection
-    /// (yield_to support). The unit must already be out of every pool.
+    /// From a ULT running on this stream: run `unit` as soon as the ULT
+    /// suspends, bypassing scheduler selection (yield_to support). The
+    /// unit must already be out of every pool; run_unit runs it before
+    /// returning.
     void set_next_hint(WorkUnit* unit) noexcept { next_hint_ = unit; }
 
     /// Scheduler at the top of the stack (base scheduler if none pushed).
@@ -179,15 +181,17 @@ class XStream {
     }
     void reset_sched_stats() noexcept { counters_.reset(); }
 
-    /// Execute one specific unit on the calling thread immediately.
-    /// Exposed for personalities with run-inline semantics (work-first
-    /// creation, inlined task cutoffs).
+    /// Execute one specific unit on the calling thread immediately, then
+    /// any unit it handed the stream to (set_next_hint). Exposed for
+    /// personalities with run-inline semantics (work-first creation,
+    /// inlined task cutoffs).
     void run_unit(WorkUnit* unit);
 
   private:
     void loop();
     void count_idle_step(sync::IdleBackoff::Step step) noexcept;
     void finish_unit(WorkUnit* unit);
+    void dispatch(WorkUnit* unit);
 
     const unsigned rank_;
     std::atomic<bool> stop_{false};

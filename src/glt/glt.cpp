@@ -355,8 +355,10 @@ class MthGlt final : public Runtime {
 
 class CvtGlt final : public Runtime {
     struct Token final : UnitToken::State {
-        std::shared_ptr<std::atomic<bool>> done =
-            std::make_shared<std::atomic<bool>>(false);
+        // Shared with the message, which signals it after the body; the
+        // joiner waits on it in its own context (see join()).
+        std::shared_ptr<core::EventCounter> done =
+            std::make_shared<core::EventCounter>(1);
     };
     struct Bulk final : BulkHandle::State {
         // Shared with the in-flight messages so an unwaited handle cannot
@@ -399,7 +401,7 @@ class CvtGlt final : public Runtime {
         lib_.send_message(pick_pe(where),
                           [body = std::move(fn), done]() mutable {
                               body();
-                              done->store(true, std::memory_order_release);
+                              done->signal();
                           });
         return UnitToken(std::move(state));
     }
@@ -450,9 +452,12 @@ class CvtGlt final : public Runtime {
 
     void join(UnitToken& token) override {
         if (auto* t = token.state_as<Token>()) {
-            auto done = t->done;
-            lib_.scheduler_run_until(
-                [&] { return done->load(std::memory_order_acquire); });
+            // EventCounter::wait serves the JOINER's own stream: from the
+            // main thread that is PE 0, from a message on PE k it is PE k,
+            // whose queued messages (the joinee among them) must keep
+            // running while the joiner holds the PE, or nested create/join
+            // deadlocks once every PE holds a joiner.
+            t->done->wait();
             token.reset();
         }
     }

@@ -139,7 +139,7 @@ class Team {
     const std::size_t size_;
     core::EventCounter tasks_;     // outstanding tasks
     core::UltBarrier barrier_;     // team barrier
-    core::UltMutex critical_;      // team-scoped critical section
+    core::Mutex critical_;         // team-scoped critical section
     sync::Spinlock singles_lock_;
     std::vector<bool> singles_claimed_;
     std::vector<std::size_t> single_seq_;  // per-member encounter counts

@@ -1,8 +1,9 @@
-#include "sync/feb.hpp"
+#include "qth/feb.hpp"
 
 #include "arch/cpu.hpp"
+#include "core/wait_table.hpp"
 
-namespace lwt::sync {
+namespace lwt::qth {
 
 namespace {
 /// Bounded pre-park spin: most FEB handoffs (producer/consumer alternation)
@@ -33,7 +34,7 @@ void FebTable::fill(aligned_t* addr) {
         std::lock_guard guard(sh.lock);
         sh.state[reinterpret_cast<std::uintptr_t>(addr)] = true;
     }
-    WaitTable::instance().unpark(addr);
+    core::WaitTable::instance().unpark(addr);
 }
 
 void FebTable::purge(aligned_t* addr) {
@@ -42,7 +43,7 @@ void FebTable::purge(aligned_t* addr) {
         std::lock_guard guard(sh.lock);
         sh.state[reinterpret_cast<std::uintptr_t>(addr)] = false;
     }
-    WaitTable::instance().unpark(addr);
+    core::WaitTable::instance().unpark(addr);
 }
 
 void FebTable::write_f(aligned_t* addr, aligned_t value) {
@@ -52,7 +53,7 @@ void FebTable::write_f(aligned_t* addr, aligned_t value) {
         *addr = value;
         sh.state[reinterpret_cast<std::uintptr_t>(addr)] = true;
     }
-    WaitTable::instance().unpark(addr);
+    core::WaitTable::instance().unpark(addr);
 }
 
 namespace {
@@ -86,7 +87,7 @@ void FebTable::write_ef(aligned_t* addr, aligned_t value) {
             // EMPTY->FULL transition: wake blocked readFF/readFE. Outside
             // the FEB lock — unpark takes the wait-shard lock and the
             // validation path nests the locks the other way around.
-            WaitTable::instance().unpark(addr);
+            core::WaitTable::instance().unpark(addr);
             return;
         }
         if (spins++ < kFebSpin) {
@@ -99,7 +100,7 @@ void FebTable::write_ef(aligned_t* addr, aligned_t value) {
                            return t.is_full_locked(
                                s, reinterpret_cast<std::uintptr_t>(a));
                        }};
-        WaitTable::instance().park_if(addr, &feb_still_blocked, &ctx);
+        core::WaitTable::instance().park_if(addr, &feb_still_blocked, &ctx);
     }
 }
 
@@ -124,7 +125,7 @@ aligned_t FebTable::read_ff(const aligned_t* addr) {
                            return !t.is_full_locked(
                                s, reinterpret_cast<std::uintptr_t>(a));
                        }};
-        WaitTable::instance().park_if(addr, &feb_still_blocked, &ctx);
+        core::WaitTable::instance().park_if(addr, &feb_still_blocked, &ctx);
     }
 }
 
@@ -147,7 +148,7 @@ aligned_t FebTable::read_fe(aligned_t* addr) {
         if (consumed) {
             // FULL->EMPTY transition: wake writers blocked in write_ef
             // (outside the FEB lock; see write_ef for the ordering rule).
-            WaitTable::instance().unpark(addr);
+            core::WaitTable::instance().unpark(addr);
             return value;
         }
         if (spins++ < kFebSpin) {
@@ -160,7 +161,7 @@ aligned_t FebTable::read_fe(aligned_t* addr) {
                            return !t.is_full_locked(
                                s, reinterpret_cast<std::uintptr_t>(a));
                        }};
-        WaitTable::instance().park_if(addr, &feb_still_blocked, &ctx);
+        core::WaitTable::instance().park_if(addr, &feb_still_blocked, &ctx);
     }
 }
 
@@ -171,7 +172,7 @@ void FebTable::forget(const aligned_t* addr) {
         sh.state.erase(reinterpret_cast<std::uintptr_t>(addr));
     }
     // Erasure restores implicit-FULL: wake blocked readers.
-    WaitTable::instance().unpark(addr);
+    core::WaitTable::instance().unpark(addr);
 }
 
 std::size_t FebTable::tracked() const {
@@ -183,4 +184,4 @@ std::size_t FebTable::tracked() const {
     return total;
 }
 
-}  // namespace lwt::sync
+}  // namespace lwt::qth

@@ -7,13 +7,11 @@
 // built on readFF. We reproduce it as a sharded hash table keyed by address:
 // words are implicitly FULL until touched, exactly as in Qthreads.
 //
-// Blocking is delegated to sync::WaitTable, the futex-style address-keyed
+// Blocking is delegated to core::WaitTable, the futex-style address-keyed
 // parking table: a blocked readFF suspends its ULT (or parks its OS thread)
 // on the word's address, and every state transition unparks that address.
-// The table used to take a caller-supplied spin callback instead; that made
-// every blocked FEB op burn its worker. The validate-under-shard-lock
-// protocol (wait_table.hpp) closes the wake-before-sleep window the spin
-// loop papered over.
+// The validate-under-shard-lock protocol (core/wait_table.hpp) closes the
+// wake-before-sleep window.
 #pragma once
 
 #include <atomic>
@@ -22,9 +20,8 @@
 #include <unordered_map>
 
 #include "sync/spinlock.hpp"
-#include "sync/wait_table.hpp"
 
-namespace lwt::sync {
+namespace lwt::qth {
 
 /// Synchronised word type. Qthreads uses `aligned_t`; we mirror that.
 using aligned_t = std::uint64_t;
@@ -71,7 +68,7 @@ class FebTable {
 
   private:
     struct Shard {
-        mutable Spinlock lock;
+        mutable sync::Spinlock lock;
         // Maps word address -> full flag. Absent means FULL.
         std::unordered_map<std::uintptr_t, bool> state;
     };
@@ -94,4 +91,4 @@ class FebTable {
     Shard shards_[kShards];
 };
 
-}  // namespace lwt::sync
+}  // namespace lwt::qth

@@ -178,7 +178,7 @@ void Library::fork_bulk_domain(std::size_t n,
 
 void Library::yield() { core::yield_anywhere(); }
 
-// The FEB table blocks through sync::WaitTable since the sync-suite PR: a
+// The FEB table blocks through core::WaitTable since the sync-suite PR: a
 // waiting ULT suspends its worker (which keeps running other units), a
 // plain thread parks. No per-personality waiter callback any more.
 aligned_t Library::read_ff(const aligned_t* addr) {

@@ -42,7 +42,7 @@ TEST_P(ChaosTest, MixedWorkloadConservesEverything) {
 
     std::atomic<long> balance{0};   // += x then -= x per unit: ends at 0
     std::atomic<int> executed{0};
-    UltMutex mutex;
+    Mutex mutex;
     long guarded = 0;  // protected by `mutex`
     Channel<int> channel(64);
     std::atomic<int> channel_tokens{0};

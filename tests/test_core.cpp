@@ -411,7 +411,7 @@ TEST(UltBlocking, MutexBlocksUltUntilUnlocked) {
     DequePool pool;
     XStream stream(0, std::make_unique<Scheduler>(std::vector<Pool*>{&pool}));
     stream.attach_caller();
-    UltMutex mutex;
+    Mutex mutex;
     std::vector<int> order;
 
     Ult* holder = new Ult([&] {
@@ -443,8 +443,8 @@ TEST(UltBlocking, CondVarWakesWaiters) {
     DequePool pool;
     XStream stream(0, std::make_unique<Scheduler>(std::vector<Pool*>{&pool}));
     stream.attach_caller();
-    UltMutex mutex;
-    UltCondVar cv;
+    Mutex mutex;
+    Condvar cv;
     bool flag = false;
     int observed = 0;
 
@@ -479,7 +479,7 @@ TEST(UltBlocking, CrossStreamWake) {
     DequePool pool;
     XStream stream(1, std::make_unique<Scheduler>(std::vector<Pool*>{&pool}));
     stream.start();
-    UltMutex mutex;
+    Mutex mutex;
     mutex.lock();  // held by the main (plain) thread
     std::atomic<bool> reached{false}, done{false};
     auto* u = new Ult([&] {

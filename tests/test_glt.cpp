@@ -5,8 +5,11 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
 #include <span>
 #include <string>
 #include <thread>
@@ -100,6 +103,65 @@ TEST_P(GltBackendTest, ListingFourPseudoCode) {
     rt->yield();
     rt->join_all(tokens);
     EXPECT_EQ(ran.load(), kN);
+}
+
+/// Runs `fn` on the calling thread; exits the process with a message if it
+/// has not returned within `limit`. A deadlocked join cannot be unwound, so
+/// this turns a hang into a named failure instead of a ctest timeout.
+template <typename Fn>
+void within_deadline(std::chrono::seconds limit, const std::string& what,
+                     Fn&& fn) {
+    std::mutex m;
+    std::condition_variable cv;
+    bool done = false;
+    std::thread dog([&] {
+        std::unique_lock lk(m);
+        if (!cv.wait_for(lk, limit, [&] { return done; })) {
+            std::fprintf(stderr, "%s did not finish within %lld s\n",
+                         what.c_str(),
+                         static_cast<long long>(limit.count()));
+            std::_Exit(EXIT_FAILURE);
+        }
+    });
+    fn();
+    {
+        std::lock_guard lk(m);
+        done = true;
+    }
+    cv.notify_one();
+    dog.join();
+}
+
+/// Recursive fib with cutoff 4 where every level creates two ULTs and
+/// joins them from inside a unit: the nested create/join shape a
+/// task-graph front end needs from every backend.
+std::uint64_t nested_fib(Runtime& rt, int n) {
+    if (n < 4) {
+        return n < 2 ? static_cast<std::uint64_t>(n)
+                     : nested_fib(rt, n - 1) + nested_fib(rt, n - 2);
+    }
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+    UnitToken ta = rt.ult_create([&] { a = nested_fib(rt, n - 1); });
+    UnitToken tb = rt.ult_create([&] { b = nested_fib(rt, n - 2); });
+    rt.join(ta);
+    rt.join(tb);
+    return a + b;
+}
+
+TEST_P(GltBackendTest, NestedCreateJoinFib) {
+    // Joiners run inside units on every worker, so a join must keep the
+    // joiner's own worker serving its queue (on cvt a joining message
+    // holds its PE), and a ULT that yields to a joinee must not lose it.
+    for (std::size_t w = 1; w <= 4; ++w) {
+        auto rt = Runtime::create(GetParam(), w);
+        std::uint64_t got = 0;
+        within_deadline(std::chrono::seconds(30),
+                        std::string(backend_name(GetParam())) +
+                            " nested fib(10) at w=" + std::to_string(w),
+                        [&] { got = nested_fib(*rt, 10); });
+        EXPECT_EQ(got, 55u) << "w=" << w;
+    }
 }
 
 TEST_P(GltBackendTest, PlacementHintsAccepted) {

@@ -308,6 +308,42 @@ TEST(JoinCore, UltJoinerStealsViaYieldTo) {
     stream.detach_caller();
 }
 
+TEST(JoinCore, YieldToTargetsRunWhenTheDispatchReturnsEarly) {
+    // A ULT that yields to a target leaves it in the stream's hint, in no
+    // pool. Here the attached thread's wait ends right after such a yield
+    // (the yielding ULT is the one that wakes it), and then a native
+    // join-steal runs another ULT inline that yields to a third unit. If
+    // the first hint outlived its dispatch, the second would overwrite it
+    // and `y` would never run.
+    lwt::core::DequePool pool;  // FIFO
+    lwt::core::XStream stream(0, std::make_unique<lwt::core::Scheduler>(
+                                     std::vector<lwt::core::Pool*>{&pool}));
+    stream.attach_caller();
+    lwt::core::EventCounter woken(1);
+    std::atomic<int> ran{0};
+    auto* y = new lwt::core::Ult([&] { ran.fetch_or(1); });
+    auto* z = new lwt::core::Ult([&] { ran.fetch_or(2); });
+    auto* x = new lwt::core::Ult([&] {
+        woken.signal();
+        EXPECT_TRUE(lwt::core::yield_to(y));
+    });
+    auto* w = new lwt::core::Ult([&] { EXPECT_TRUE(lwt::core::yield_to(z)); });
+    pool.push(x);
+    pool.push(y);
+    pool.push(w);
+    pool.push(z);
+    woken.wait();             // runs x, which wakes us and yields to y
+    lwt::core::join_unit(w);  // steals w inline; w yields to z
+    while (stream.progress()) {
+    }
+    ASSERT_EQ(ran.load(), 3) << "a yield_to target was stranded";
+    for (lwt::core::Ult* u : {x, y, w, z}) {
+        lwt::core::join_unit(u);
+        delete u;
+    }
+    stream.detach_caller();
+}
+
 TEST(JoinCore, UltJoinerSuspendsUntilTermination) {
     // The joinee runs on ANOTHER stream: the joining ULT must suspend
     // (kBlocked) and be requeued by the terminator's wake, not poll.

@@ -392,7 +392,7 @@ TEST(MetricsRecordingTest, WakeLatencyIsRecordedOnBlockWakePairs) {
         XStream stream(0,
                        std::make_unique<Scheduler>(std::vector<Pool*>{&pool}));
         stream.attach_caller();
-        UltMutex mutex;
+        Mutex mutex;
         auto* holder = new Ult([&] {
             mutex.lock();
             Ult::current()->yield();
@@ -458,6 +458,26 @@ TEST(MetricsTextTest, StreamPoolDepthIsLive) {
     EXPECT_EQ(depth_line(), "9");
     rt.primary().run_until([&] { return ran.load() == 9; });
     EXPECT_EQ(depth_line(), "0");
+}
+
+TEST(MetricsTextTest, ReportPrintsHistogramsUnderTheirOwnHeading) {
+    // Registry histogram rows follow the gauges; without a heading of
+    // their own they would read as more gauges.
+    auto& reg = MetricsRegistry::instance();
+    reg.gauge("test.report_gauge").set(3);
+    reg.histogram("sync.block_resume_ns").record(1500);
+    std::ostringstream os;
+    print_metrics_report(os);
+    const std::string text = os.str();
+    const std::size_t gauges = text.find("\ngauges:\n");
+    const std::size_t heading = text.find("\nhistograms:\n");
+    const std::size_t row = text.find("sync.block_resume_ns");
+    ASSERT_NE(gauges, std::string::npos) << text;
+    ASSERT_NE(heading, std::string::npos) << text;
+    ASSERT_NE(row, std::string::npos) << text;
+    EXPECT_LT(gauges, heading);
+    EXPECT_LT(heading, row);
+    reg.histogram("sync.block_resume_ns").reset();
 }
 
 // --- Runtime::reset_stats ----------------------------------------------------

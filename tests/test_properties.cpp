@@ -169,7 +169,7 @@ TEST(StackGuardDeathTest, OverflowHitsGuardPageDeterministically) {
         "");
 }
 
-// --- UltMutex stress across stream counts --------------------------------------------
+// --- Mutex stress across stream counts --------------------------------------------
 
 class MutexStressSweep : public ::testing::TestWithParam<int> {};
 
@@ -183,7 +183,7 @@ TEST_P(MutexStressSweep, CounterExactUnderContention) {
         return std::make_unique<Scheduler>(
             std::vector<Pool*>{pools[rank].get()});
     });
-    UltMutex mutex;
+    Mutex mutex;
     long counter = 0;
     constexpr int kUltsPerStream = 8;
     constexpr int kIncr = 300;

@@ -1,24 +1,25 @@
-// Tests for OS-thread-level synchronisation: locks, barriers, FEB table.
+// Tests for OS-thread-level synchronisation: locks, the momp region
+// barrier, the FEB table and the address-keyed wait table (OS threads
+// only, so the suite also runs under ThreadSanitizer).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 #include <vector>
 
-#include "sync/barrier.hpp"
-#include "sync/feb.hpp"
+#include "core/wait_table.hpp"
+#include "momp/barrier.hpp"
+#include "qth/feb.hpp"
 #include "sync/spinlock.hpp"
-#include "sync/wait_table.hpp"
 
 namespace {
 
-using lwt::sync::aligned_t;
-using lwt::sync::CentralBarrier;
-using lwt::sync::DisseminationBarrier;
-using lwt::sync::FebTable;
+using lwt::core::WaitTable;
+using lwt::momp::CentralBarrier;
+using lwt::qth::aligned_t;
+using lwt::qth::FebTable;
 using lwt::sync::Spinlock;
 using lwt::sync::TicketLock;
-using lwt::sync::WaitTable;
 
 constexpr int kThreads = 4;
 constexpr int kIncrementsPerThread = 20000;
@@ -100,26 +101,6 @@ TEST(CentralBarrier, SingleParticipantNeverBlocks) {
         barrier.arrive_and_wait();
     }
     SUCCEED();
-}
-
-TEST(DisseminationBarrier, NoThreadPassesEarly) {
-    constexpr int kN = 5;  // deliberately not a power of two
-    constexpr int kRounds = 200;
-    DisseminationBarrier barrier(kN);
-    std::atomic<int> phase_counts[kRounds] = {};
-    std::vector<std::thread> workers;
-    for (int t = 0; t < kN; ++t) {
-        workers.emplace_back([&, t] {
-            for (int r = 0; r < kRounds; ++r) {
-                phase_counts[r].fetch_add(1);
-                barrier.arrive_and_wait(static_cast<std::size_t>(t));
-                EXPECT_EQ(phase_counts[r].load(), kN);
-            }
-        });
-    }
-    for (auto& w : workers) {
-        w.join();
-    }
 }
 
 // --- FEB table ----------------------------------------------------------------
@@ -226,7 +207,7 @@ TEST(Feb, InstanceIsSingleton) {
 }
 
 TEST(Feb, BlockedReaderParksInWaitTable) {
-    // The FEB table blocks through sync::WaitTable (not a spin callback):
+    // The FEB table blocks through core::WaitTable (not a spin callback):
     // a blocked read_ff must show up as a parked waiter on the word's
     // address, and the state transition must wake it.
     FebTable table;
@@ -295,13 +276,6 @@ TEST(WaitTable, UnparkWakesOnlyMatchingKey) {
     b.store(1);
     EXPECT_EQ(wt.unpark(&b), 1u);
     tb.join();
-}
-
-TEST(WaitTable, NoUltOpsMeansNotUltContext) {
-    // This suite links only lwt::sync — core never installed its hooks, so
-    // plain threads are never misdiagnosed as ULTs (this is what lets
-    // CentralBarrier's assert pass for its legitimate OS-thread users).
-    EXPECT_FALSE(lwt::sync::in_ult_context());
 }
 
 }  // namespace

@@ -78,7 +78,7 @@ TEST_F(TraceTest, BlockAndWakeArePaired) {
     DequePool pool;
     XStream stream(0, std::make_unique<Scheduler>(std::vector<Pool*>{&pool}));
     stream.attach_caller();
-    UltMutex mutex;
+    Mutex mutex;
     auto* holder = new Ult([&] {
         mutex.lock();
         Ult::current()->yield();

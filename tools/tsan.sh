@@ -9,10 +9,12 @@
 #
 # Usage: tools/tsan.sh [ctest-regex]
 #   default regex:
-#   'test_steal|test_trace|test_metrics|test_topology|test_settings|test_alloc|test_join|test_sync_ult|test_io|test_introspect'
-#   (test_join and test_sync_ult self-gate their ULT-switching cases behind
-#   LWT_TSAN, leaving the parker/wait-table/channel-rendezvous/reactor
-#   timer-claim races for TSan to chew on; test_settings boots runtimes
+#   'test_steal|test_trace|test_metrics|test_topology|test_settings|test_alloc|test_join|test_sync|test_sync_ult|test_io|test_introspect'
+#   (test_sync is OS-thread only: locks, the momp barrier, the FEB table
+#   and the core wait table; test_join and test_sync_ult self-gate their
+#   ULT-switching cases behind LWT_TSAN, leaving the parker/wait-table/
+#   channel-rendezvous/reactor timer-claim races for TSan to chew on;
+#   test_settings boots runtimes
 #   without running units and skips its introspection-server row.)
 #   With the default regex the script also runs a filtered test_bulk lane:
 #   that binary holds ULT tests, so only its Chase-Lev bulk-publish race
@@ -20,7 +22,7 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-DEFAULT_REGEX='test_steal|test_trace|test_metrics|test_topology|test_settings|test_alloc|test_join|test_sync_ult|test_io|test_introspect'
+DEFAULT_REGEX='test_steal|test_trace|test_metrics|test_topology|test_settings|test_alloc|test_join|test_sync|test_sync_ult|test_io|test_introspect'
 REGEX="${1:-$DEFAULT_REGEX}"
 BULK_FILTER='BulkStress.ChaseLevPushBulkVsStealers'
 BUILD=build-tsan
